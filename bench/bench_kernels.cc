@@ -10,9 +10,11 @@
  *   --smoke   quick randomized scalar-vs-vector equivalence check;
  *             exits nonzero on any mismatch.
  *   --digest  encode a deterministic synthetic clip with both codecs
- *             under the dispatch-selected ISA and print stream bytes,
- *             a stream hash, and quality scores — byte-identical
- *             output across VBENCH_ISA settings by construction.
+ *             (VBC at efforts 2 and 9, so the exhaustive search and
+ *             SATD sub-pel/intra paths are covered) under the
+ *             dispatch-selected ISA and print stream bytes, a stream
+ *             hash, and quality scores — byte-identical output across
+ *             VBENCH_ISA settings by construction.
  */
 
 #include <chrono>
@@ -361,6 +363,21 @@ runDigest()
     std::printf("ngc bytes=%zu hash=%016llx\n", d.ngc.size(),
                 static_cast<unsigned long long>(fnv1a(d.ngc)));
     std::printf("vbc psnr=%.12f ssim=%.12f\n", d.psnr, d.ssim);
+
+    // Effort 9: exhaustive motion search with SATD sub-pel and intra.
+    codec::EncoderConfig slow_cfg;
+    slow_cfg.rc.mode = codec::RcMode::Cqp;
+    slow_cfg.rc.qp = 30;
+    slow_cfg.effort = 9;
+    slow_cfg.gop = 4;
+    const std::vector<uint8_t> slow =
+        codec::Encoder(slow_cfg).encode(clip).stream;
+    if (slow.empty()) {
+        std::fprintf(stderr, "digest: effort-9 encode produced no stream\n");
+        return 1;
+    }
+    std::printf("vbc9 bytes=%zu hash=%016llx\n", slow.size(),
+                static_cast<unsigned long long>(fnv1a(slow)));
     return 0;
 }
 

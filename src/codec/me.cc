@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <vector>
 
 #include "codec/golomb.h"
 #include "codec/interp.h"
@@ -48,12 +50,21 @@ struct SearchState {
                               static_cast<int16_t>(my * 2)};
         if (candidates > 0 && mv == best)
             return;
+        evaluateFullPel(mx, my);
+    }
+
+    /** SAD-score a full-pel candidate inside the bounds; updates best. */
+    void
+    evaluateFullPel(int mx, int my)
+    {
         const uint8_t *ref_ptr =
             ctx.ref->ptr(ctx.block_x + mx, ctx.block_y + my);
         const uint32_t sad = sadBlock(src_ptr, src_stride, ref_ptr,
                                       ctx.ref->stride(), ctx.block_w,
                                       ctx.block_h);
-        finish(mv, sad);
+        finish(MotionVector{static_cast<int16_t>(mx * 2),
+                            static_cast<int16_t>(my * 2)},
+               sad);
     }
 
     /** Cost of a half-pel candidate (interpolating); updates best. */
@@ -112,6 +123,18 @@ struct SearchState {
             best = mv;
         }
     }
+
+    /**
+     * Count @p n candidates known not to beat the best, as finish()
+     * would have counted them: no improvement bits.
+     */
+    void
+    countRejected(uint32_t n)
+    {
+        candidates += n;
+        n_decisions = static_cast<int>(
+            std::min<uint32_t>(static_cast<uint32_t>(n_decisions) + n, 64));
+    }
 };
 
 const int kSmallDiamond[4][2] = {{0, -1}, {-1, 0}, {1, 0}, {0, 1}};
@@ -169,6 +192,140 @@ hexSearch(SearchState &state, int max_iters)
     squareRefine(state, 2);
 }
 
+/** |a - b| of two pixel sums (both below 2^31). */
+inline uint32_t
+absDiff(uint32_t a, uint32_t b)
+{
+    return static_cast<uint32_t>(std::abs(static_cast<int32_t>(a - b)));
+}
+
+/**
+ * Exhaustive search by successive elimination. Visits exactly the
+ * positions of a raster scan over the (2 range + 1)^2 window around the
+ * clamped predictor, in raster order, each clamped into the MV bounds
+ * as tryFullPel clamps it, the current best skipped. Before any SAD is
+ * computed, one sliding-window pass over the clamped window gives every
+ * position the pixel sums of the reference block's four quadrants. By
+ * the triangle inequality SAD >= sum over quadrants of |src quadrant
+ * sum - ref quadrant sum|, so a candidate whose bound plus the rate
+ * term finish() would add already reaches the best cost cannot win: it
+ * is counted as finish() would count it, but its SAD is never
+ * computed. The winner, its cost, the candidate count and the
+ * branch-model decisions are those of the plain raster scan.
+ */
+void
+fullSearch(SearchState &state)
+{
+    const MeContext &ctx = state.ctx;
+    const int cx = clampInt((ctx.pred.x + 1) / 2, state.min_mx,
+                            state.max_mx);
+    const int cy = clampInt((ctx.pred.y + 1) / 2, state.min_my,
+                            state.max_my);
+    // Every raster position clamps into [x0, x1] x [y0, y1].
+    const int x0 = clampInt(cx - ctx.range, state.min_mx, state.max_mx);
+    const int x1 = clampInt(cx + ctx.range, state.min_mx, state.max_mx);
+    const int y0 = clampInt(cy - ctx.range, state.min_my, state.max_my);
+    const int y1 = clampInt(cy + ctx.range, state.min_my, state.max_my);
+    const int columns = x1 - x0 + 1;
+
+    // Quadrants tile the block's even-sized core; for an odd size the
+    // last row/column is simply left out of the bound.
+    const int qw = ctx.block_w / 2;
+    const int qh = ctx.block_h / 2;
+
+    // quad[v * tw + u]: sum of the qw x qh reference area whose top-left
+    // is window offset (u, v); quadrant (i, j) of candidate (x, y) sits
+    // at offset (x - x0 + i qw, y - y0 + j qh). cols holds the running
+    // qh-row sums of each reference column. The pass reads exactly the
+    // pixels the window's SADs would read. cost_floor is one row's bound
+    // plus rate per column. All scratch is sized from the clamped
+    // window.
+    const int tw = columns + qw;
+    const int th = y1 - y0 + 1 + qh;
+    const int span = tw + qw - 1;
+    std::vector<uint32_t> scratch(static_cast<size_t>(tw) * th + span +
+                                  2 * static_cast<size_t>(columns));
+    uint32_t *quad = scratch.data();
+    uint32_t *cols = quad + static_cast<size_t>(tw) * th;
+    uint32_t *column_bits = cols + span;
+    uint32_t *cost_floor = column_bits + columns;
+
+    const int ref_stride = ctx.ref->stride();
+    const uint8_t *window =
+        ctx.ref->ptr(ctx.block_x + x0, ctx.block_y + y0);
+    for (int r = 0; r < qh; ++r)
+        for (int c = 0; c < span; ++c)
+            cols[c] += window[r * ref_stride + c];
+    for (int v = 0; v < th; ++v) {
+        if (v > 0) {
+            const uint8_t *leaving = window + (v - 1) * ref_stride;
+            const uint8_t *entering = leaving + qh * ref_stride;
+            for (int c = 0; c < span; ++c)
+                cols[c] += entering[c] - leaving[c];
+        }
+        uint32_t *out = quad + static_cast<size_t>(v) * tw;
+        uint32_t sum = 0;
+        for (int c = 0; c < qw; ++c)
+            sum += cols[c];
+        out[0] = sum;
+        for (int u = 1; u < tw; ++u) {
+            sum += cols[u + qw - 1] - cols[u - 1];
+            out[u] = sum;
+        }
+    }
+
+    uint32_t src_quad[4] = {0, 0, 0, 0};
+    for (int r = 0; r < 2 * qh; ++r)
+        for (int c = 0; c < 2 * qw; ++c)
+            src_quad[(r >= qh) * 2 + (c >= qw)] +=
+                state.src_ptr[r * state.src_stride + c];
+
+    // The rate term, exactly as finish() rounds it, by MV bits: a
+    // column part plus a row part. se() bits grow with the magnitude,
+    // so the window's corners bound the sum.
+    const auto col_bits = [&](int x) { return seBits(2 * x - ctx.pred.x); };
+    const auto row_bits = [&](int y) { return seBits(2 * y - ctx.pred.y); };
+    std::vector<uint32_t> rate(std::max(col_bits(x0), col_bits(x1)) +
+                               std::max(row_bits(y0), row_bits(y1)) + 1);
+    for (size_t bits = 0; bits < rate.size(); ++bits)
+        rate[bits] = static_cast<uint32_t>(
+            ctx.lambda * static_cast<uint32_t>(bits) + 0.5);
+    for (int u = 0; u < columns; ++u)
+        column_bits[u] = col_bits(x0 + u);
+
+    for (int my = -ctx.range; my <= ctx.range; ++my) {
+        const int y = clampInt(cy + my, state.min_my, state.max_my);
+        const uint32_t *top = quad + static_cast<size_t>(y - y0) * tw;
+        const uint32_t *bottom = top + static_cast<size_t>(qh) * tw;
+        const uint32_t *row_rate = rate.data() + row_bits(y);
+        for (int u = 0; u < columns; ++u) {
+            cost_floor[u] = absDiff(src_quad[0], top[u]) +
+                absDiff(src_quad[1], top[u + qw]) +
+                absDiff(src_quad[2], bottom[u]) +
+                absDiff(src_quad[3], bottom[u + qw]) +
+                row_rate[column_bits[u]];
+        }
+        // Rejections are tallied locally and flushed, in order, before
+        // the next evaluation. The seeds were evaluated first, so the
+        // raster scan's best-skip guard (candidates > 0) always holds.
+        uint32_t rejected = 0;
+        for (int mx = -ctx.range; mx <= ctx.range; ++mx) {
+            const int x = clampInt(cx + mx, state.min_mx, state.max_mx);
+            if (MotionVector{static_cast<int16_t>(x * 2),
+                             static_cast<int16_t>(y * 2)} == state.best)
+                continue;
+            if (cost_floor[x - x0] >= state.best_cost) {
+                ++rejected;
+                continue;
+            }
+            state.countRejected(rejected);
+            rejected = 0;
+            state.evaluateFullPel(x, y);
+        }
+        state.countRejected(rejected);
+    }
+}
+
 } // namespace
 
 uint32_t
@@ -212,16 +369,9 @@ motionSearch(const MeContext &ctx)
       case SearchKind::Hex:
         hexSearch(state, ctx.range);
         break;
-      case SearchKind::Full: {
-        const int cx = clampInt((ctx.pred.x + 1) / 2, state.min_mx,
-                                state.max_mx);
-        const int cy = clampInt((ctx.pred.y + 1) / 2, state.min_my,
-                                state.max_my);
-        for (int my = -ctx.range; my <= ctx.range; ++my)
-            for (int mx = -ctx.range; mx <= ctx.range; ++mx)
-                state.tryFullPel(cx + mx, cy + my);
+      case SearchKind::Full:
+        fullSearch(state);
         break;
-      }
     }
 
     uint32_t subpel_evals = 0;

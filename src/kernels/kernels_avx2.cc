@@ -5,13 +5,15 @@
  * dispatcher stops at SSE2.
  *
  * Overrides only the kernels that benefit from 256-bit lanes: SAD (row
- * pairing keeps 16-wide macroblocks on full-width psadbw), the 8x8
+ * pairing keeps 16-wide macroblocks on full-width psadbw), SATD (four
+ * 4x4 Hadamard blocks per 256-bit strip in 16-bit lanes), the 8x8
  * transform pair (two 4x4 sub-blocks ride in the two 128-bit lanes),
  * quant/dequant, interpolation, residual diff/reconstruction, and the
- * PSNR sum of squares. SATD, the single 4x4 transforms, deblocking and
- * the 8-wide SSIM window stay on the SSE2 versions, which already fill
+ * PSNR sum of squares. The single 4x4 transforms, deblocking and the
+ * 8-wide SSIM window stay on the SSE2 versions, which already fill
  * their lanes. All the same bit-exactness arguments as the SSE2 TU
- * apply (wrapping packs, 64-bit quant math, exact pavgb/psadbw).
+ * apply (wrapping packs, 64-bit quant math, exact pavgb/psadbw), plus
+ * SATD's exact halving (see satdAvx2).
  */
 
 #include "kernels/kernel_ops.h"
@@ -168,6 +170,143 @@ sadAvx2(const uint8_t *a, int a_stride, const uint8_t *b, int b_stride,
         static_cast<uint64_t>(
             _mm_cvtsi128_si64(_mm_unpackhi_epi64(acc128, acc128)));
     return static_cast<uint32_t>(hsum64(acc) + lanes128) + tail;
+}
+
+// ----- SATD --------------------------------------------------------
+
+/** Residual a - b of up to 16 packed bytes, widened to int16 lanes. */
+inline __m256i
+residual16(__m128i a, __m128i b)
+{
+    return _mm256_sub_epi16(_mm256_cvtepu8_epi16(a),
+                            _mm256_cvtepu8_epi16(b));
+}
+
+inline __m128i
+load4(const uint8_t *p)
+{
+    uint32_t v;
+    std::memcpy(&v, p, 4);
+    return _mm_cvtsi32_si128(static_cast<int>(v));
+}
+
+inline __m128i
+load8(const uint8_t *p)
+{
+    return _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p));
+}
+
+/**
+ * Halved SATD of the four 4x4 blocks held in four rows of residual
+ * (block k in lanes 4k..4k+3 of every row), as eight int32 partial
+ * sums. The vertical butterflies run lane-wise across the rows; a
+ * per-block 4x4 transpose then lines the columns up lane-wise for the
+ * first horizontal stage, and the last stage folds into a max:
+ * |p + q| + |p - q| = 2 max(|p|, |q|), so summing the maxes gives each
+ * block's coefficient sum already halved, exactly. Before the fold
+ * |p| <= 8 * 255, so every lane stays far inside int16.
+ */
+inline __m256i
+satdQuad(__m256i d0, __m256i d1, __m256i d2, __m256i d3)
+{
+    const __m256i s01 = _mm256_add_epi16(d0, d1);
+    const __m256i t01 = _mm256_sub_epi16(d0, d1);
+    const __m256i s23 = _mm256_add_epi16(d2, d3);
+    const __m256i t23 = _mm256_sub_epi16(d2, d3);
+    const __m256i v0 = _mm256_add_epi16(s01, s23);
+    const __m256i v1 = _mm256_sub_epi16(s01, s23);
+    const __m256i v2 = _mm256_add_epi16(t01, t23);
+    const __m256i v3 = _mm256_sub_epi16(t01, t23);
+
+    // Transpose: each 128-bit lane holds two blocks, x_c ends up with
+    // column c of both.
+    const __m256i r01lo = _mm256_unpacklo_epi16(v0, v1);
+    const __m256i r01hi = _mm256_unpackhi_epi16(v0, v1);
+    const __m256i r23lo = _mm256_unpacklo_epi16(v2, v3);
+    const __m256i r23hi = _mm256_unpackhi_epi16(v2, v3);
+    const __m256i a01 = _mm256_unpacklo_epi32(r01lo, r23lo);
+    const __m256i a23 = _mm256_unpackhi_epi32(r01lo, r23lo);
+    const __m256i b01 = _mm256_unpacklo_epi32(r01hi, r23hi);
+    const __m256i b23 = _mm256_unpackhi_epi32(r01hi, r23hi);
+    const __m256i x0 = _mm256_unpacklo_epi64(a01, b01);
+    const __m256i x1 = _mm256_unpackhi_epi64(a01, b01);
+    const __m256i x2 = _mm256_unpacklo_epi64(a23, b23);
+    const __m256i x3 = _mm256_unpackhi_epi64(a23, b23);
+
+    const __m256i p0 = _mm256_abs_epi16(_mm256_add_epi16(x0, x1));
+    const __m256i p1 = _mm256_abs_epi16(_mm256_sub_epi16(x0, x1));
+    const __m256i p2 = _mm256_abs_epi16(_mm256_add_epi16(x2, x3));
+    const __m256i p3 = _mm256_abs_epi16(_mm256_sub_epi16(x2, x3));
+    const __m256i halved = _mm256_add_epi16(_mm256_max_epi16(p0, p2),
+                                            _mm256_max_epi16(p1, p3));
+    return _mm256_madd_epi16(halved, _mm256_set1_epi16(1));
+}
+
+/**
+ * The scalar reference halves each 4x4 block's coefficient sum with a
+ * floor; that sum is always even (its parity is that of the summed
+ * coefficients, 16 times the top-left residual), so the max fold
+ * reproduces it exactly. 16-wide strips fill all four blocks of a
+ * vector; an 8-wide tail pairs the rows of two block rows in the two
+ * 128-bit lanes, and any remaining 8- or 4-wide blocks run in the low
+ * lane alone, where the zero residual of the empty lanes adds nothing.
+ */
+uint32_t
+satdAvx2(const uint8_t *a, int a_stride, const uint8_t *b, int b_stride,
+         int w, int h)
+{
+    __m256i acc = _mm256_setzero_si256();
+    __m256i d[4];
+    int c = 0;
+    for (; c + 16 <= w; c += 16) {
+        for (int r = 0; r < h; r += 4) {
+            for (int i = 0; i < 4; ++i) {
+                d[i] = residual16(
+                    _mm_loadu_si128(reinterpret_cast<const __m128i *>(
+                        a + (r + i) * a_stride + c)),
+                    _mm_loadu_si128(reinterpret_cast<const __m128i *>(
+                        b + (r + i) * b_stride + c)));
+            }
+            acc = _mm256_add_epi32(acc, satdQuad(d[0], d[1], d[2], d[3]));
+        }
+    }
+    if (c + 8 <= w) {
+        int r = 0;
+        for (; r + 8 <= h; r += 8) {
+            for (int i = 0; i < 4; ++i) {
+                const uint8_t *pa = a + (r + i) * a_stride + c;
+                const uint8_t *pb = b + (r + i) * b_stride + c;
+                d[i] = residual16(
+                    _mm_unpacklo_epi64(load8(pa), load8(pa + 4 * a_stride)),
+                    _mm_unpacklo_epi64(load8(pb),
+                                       load8(pb + 4 * b_stride)));
+            }
+            acc = _mm256_add_epi32(acc, satdQuad(d[0], d[1], d[2], d[3]));
+        }
+        for (; r < h; r += 4) {
+            for (int i = 0; i < 4; ++i) {
+                d[i] = residual16(load8(a + (r + i) * a_stride + c),
+                                  load8(b + (r + i) * b_stride + c));
+            }
+            acc = _mm256_add_epi32(acc, satdQuad(d[0], d[1], d[2], d[3]));
+        }
+        c += 8;
+    }
+    if (c + 4 <= w) {
+        for (int r = 0; r < h; r += 4) {
+            for (int i = 0; i < 4; ++i) {
+                d[i] = residual16(load4(a + (r + i) * a_stride + c),
+                                  load4(b + (r + i) * b_stride + c));
+            }
+            acc = _mm256_add_epi32(acc, satdQuad(d[0], d[1], d[2], d[3]));
+        }
+    }
+    const __m128i sum = _mm_add_epi32(_mm256_castsi256_si128(acc),
+                                      _mm256_extracti128_si256(acc, 1));
+    const __m128i pairs =
+        _mm_add_epi32(sum, _mm_shuffle_epi32(sum, _MM_SHUFFLE(1, 0, 3, 2)));
+    return static_cast<uint32_t>(_mm_cvtsi128_si32(_mm_add_epi32(
+        pairs, _mm_shuffle_epi32(pairs, _MM_SHUFFLE(2, 3, 0, 1)))));
 }
 
 // ----- Interpolation -----------------------------------------------
@@ -557,6 +696,7 @@ avx2Ops()
         t.name = "avx2";
         t.isa = Isa::Avx2;
         t.sad = sadAvx2;
+        t.satd = satdAvx2;
         t.interpH = interpHAvx2;
         t.interpV = interpVAvx2;
         t.interpHV = interpHVAvx2;

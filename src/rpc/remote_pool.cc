@@ -65,7 +65,8 @@ RemotePool::~RemotePool()
         std::lock_guard<std::mutex> lock(mu_);
         stop_ = true;
     }
-    cv_.notify_all();
+    slot_cv_.notify_all();
+    hedge_cv_.notify_all();
     if (hedge_thread_.joinable())
         hedge_thread_.join();
     for (auto &slot : slots_)
@@ -92,7 +93,7 @@ RemotePool::submit(service::SegmentJob job,
         inflight_.push_back(rj);
         pending_.push_back({std::move(rj), /*hedge=*/false});
     }
-    cv_.notify_one();
+    slot_cv_.notify_one();
     return handle;
 }
 
@@ -134,7 +135,7 @@ RemotePool::slotLoop(int s)
         Attempt attempt;
         {
             std::unique_lock<std::mutex> lock(mu_);
-            cv_.wait(lock, [this] {
+            slot_cv_.wait(lock, [this] {
                 return stop_ || !pending_.empty();
             });
             if (pending_.empty()) {
@@ -345,7 +346,7 @@ RemotePool::onInfraFailure(int s, Attempt &attempt,
             std::lock_guard<std::mutex> lock(mu_);
             pending_.push_front(attempt);
         }
-        cv_.notify_one();
+        slot_cv_.notify_one();
         return;
     }
     std::fprintf(stderr,
@@ -464,7 +465,7 @@ RemotePool::hedgeLoop()
 {
     std::unique_lock<std::mutex> lock(mu_);
     while (!stop_) {
-        cv_.wait_for(lock, std::chrono::milliseconds(2));
+        hedge_cv_.wait_for(lock, std::chrono::milliseconds(2));
         if (stop_ || !config_.hedge)
             continue;
         const size_t min_samples = static_cast<size_t>(
@@ -506,7 +507,7 @@ RemotePool::hedgeLoop()
             slowest->hedged = true;
             ++counters_.hedges;
             pending_.push_front({std::move(slowest), /*hedge=*/true});
-            cv_.notify_one();
+            slot_cv_.notify_one();
         }
     }
 }

@@ -160,7 +160,12 @@ class RemotePool : public service::SegmentExecutor
     std::thread hedge_thread_;
 
     mutable std::mutex mu_;
-    std::condition_variable cv_;
+    /// Slot threads wait here for pending_ work. The hedge thread has a
+    /// condition variable of its own: were they shared, a notify_one()
+    /// for new work could wake only the hedge thread and strand the job
+    /// on an idle pool.
+    std::condition_variable slot_cv_;
+    std::condition_variable hedge_cv_;  ///< hedge thread's timed wait
     std::deque<Attempt> pending_;
     std::vector<std::shared_ptr<RemoteJob>> inflight_;
     std::vector<double> samples_ms_;  ///< completed attempt latencies

@@ -1,13 +1,20 @@
 /**
  * @file
- * Motion estimation: the searches must find known displacements.
+ * Motion estimation: the searches must find known displacements, and
+ * the exhaustive search must report exactly what a plain raster scan
+ * computing every SAD reports.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <initializer_list>
+#include <utility>
+#include <vector>
 
 #include "codec/me.h"
+#include "uarch/probe.h"
 #include "video/rng.h"
 
 namespace vbench::codec {
@@ -249,6 +256,196 @@ TEST(Satd, SubpelRefinementStillFindsHalfPelShift)
     const MeResult result = motionSearch(me);
     EXPECT_EQ(result.mv.x, 1);
     EXPECT_EQ(result.mv.y, 0);
+}
+
+/** Every (kernel, units, decisions) record a search reports. */
+class RecordingProbe : public uarch::UarchProbe
+{
+  public:
+    struct Record {
+        uarch::KernelId id;
+        uint64_t units;
+        uint64_t decision_bits;
+        int n_decisions;
+    };
+    std::vector<Record> records;
+
+    using uarch::UarchProbe::record;
+    void
+    record(uarch::KernelId id, uint64_t units, uint64_t decision_bits,
+           int n_decisions,
+           std::initializer_list<uarch::MemRegion>) override
+    {
+        records.push_back({id, units, decision_bits, n_decisions});
+    }
+};
+
+/** What the plain raster scan reports, including its branch record. */
+struct RasterOutcome {
+    MeResult result;
+    uint64_t decisions = 0;
+    int n_decisions = 0;
+};
+
+/**
+ * The exhaustive search as a plain raster loop that computes every
+ * visited position's SAD: the seeds, then the (2 range + 1)^2 window
+ * around the clamped predictor, each position clamped into the MV
+ * bounds, the current best skipped. No sub-pel refinement.
+ */
+RasterOutcome
+rasterFullSearch(const MeContext &ctx)
+{
+    const int margin = kRefPad - 2;
+    const int min_mx = -(ctx.block_x + margin);
+    const int max_mx =
+        ctx.ref->width() + margin - ctx.block_w - ctx.block_x;
+    const int min_my = -(ctx.block_y + margin);
+    const int max_my =
+        ctx.ref->height() + margin - ctx.block_h - ctx.block_y;
+    const uint8_t *src = ctx.src->row(ctx.block_y) + ctx.block_x;
+
+    RasterOutcome out;
+    MeResult &best = out.result;
+    best.cost = UINT32_MAX;
+    auto try_pel = [&](int mx, int my) {
+        mx = clampInt(mx, min_mx, max_mx);
+        my = clampInt(my, min_my, max_my);
+        const MotionVector mv{static_cast<int16_t>(mx * 2),
+                              static_cast<int16_t>(my * 2)};
+        if (best.candidates > 0 && mv == best.mv)
+            return;
+        const uint32_t sad = sadBlock(
+            src, ctx.src->width(),
+            ctx.ref->ptr(ctx.block_x + mx, ctx.block_y + my),
+            ctx.ref->stride(), ctx.block_w, ctx.block_h);
+        ++best.candidates;
+        const uint32_t cost = sad +
+            static_cast<uint32_t>(ctx.lambda * mvBits(mv, ctx.pred) + 0.5);
+        const bool improved = cost < best.cost;
+        if (out.n_decisions < 64) {
+            out.decisions |= static_cast<uint64_t>(improved)
+                << out.n_decisions;
+            ++out.n_decisions;
+        }
+        if (improved) {
+            best.cost = cost;
+            best.sad = sad;
+            best.mv = mv;
+        }
+    };
+    try_pel(0, 0);
+    try_pel((ctx.pred.x + 1) / 2, (ctx.pred.y + 1) / 2);
+    if (ctx.has_seed)
+        try_pel((ctx.seed.x + 1) / 2, (ctx.seed.y + 1) / 2);
+    const int cx = clampInt((ctx.pred.x + 1) / 2, min_mx, max_mx);
+    const int cy = clampInt((ctx.pred.y + 1) / 2, min_my, max_my);
+    for (int my = -ctx.range; my <= ctx.range; ++my)
+        for (int mx = -ctx.range; mx <= ctx.range; ++mx)
+            try_pel(cx + mx, cy + my);
+    return out;
+}
+
+/** Search with subpel off and compare against the raster loop. */
+void
+expectMatchesRasterScan(MeContext me)
+{
+    me.kind = SearchKind::Full;
+    me.subpel = false;
+    RecordingProbe probe;
+    me.probe = &probe;
+    const RasterOutcome want = rasterFullSearch(me);
+    const MeResult got = motionSearch(me);
+    EXPECT_EQ(got.mv, want.result.mv);
+    EXPECT_EQ(got.cost, want.result.cost);
+    EXPECT_EQ(got.sad, want.result.sad);
+    EXPECT_EQ(got.candidates, want.result.candidates);
+
+    // The uarch model sees the raster scan's work and branch record.
+    ASSERT_EQ(probe.records.size(), 2u);
+    const RecordingProbe::Record &sad = probe.records[0];
+    const RecordingProbe::Record &ctl = probe.records[1];
+    EXPECT_EQ(sad.id, uarch::KernelId::Sad);
+    EXPECT_EQ(sad.units,
+              std::max<uint64_t>(1, uint64_t{want.result.candidates} *
+                                        me.block_w * me.block_h / 256));
+    EXPECT_EQ(ctl.id, uarch::KernelId::MotionSearchCtl);
+    EXPECT_EQ(ctl.units, want.result.candidates);
+    EXPECT_EQ(ctl.decision_bits, want.decisions);
+    EXPECT_EQ(ctl.n_decisions, want.n_decisions);
+}
+
+TEST(MotionSearch, FullSearchMatchesRasterScanExactly)
+{
+    // Noise planes give weak quadrant bounds (most SADs computed);
+    // shifted texture gives useful ones (most candidates eliminated). On
+    // a ramp every residual block has one sign, so the bound equals the
+    // SAD and candidates one cost unit apart meet at its edge.
+    constexpr int kW = 96;
+    constexpr int kH = 80;
+    video::Rng rng(17);
+    Plane noise_ref(kW, kH);
+    Plane ramp_ref(kW, kH);
+    for (int y = 0; y < kH; ++y) {
+        for (int x = 0; x < kW; ++x) {
+            noise_ref.at(x, y) = static_cast<uint8_t>(rng.below(256));
+            ramp_ref.at(x, y) = static_cast<uint8_t>(20 + x + y);
+        }
+    }
+    const Plane noise_cur = shifted(noise_ref, 3, -2);
+    const Plane texture_ref = texturedPlane(kW, kH, 6);
+    const Plane texture_cur = shifted(texture_ref, -5, 4);
+    const Plane ramp_cur = shifted(ramp_ref, 2, 1);
+    const RefPlane noise(noise_ref);
+    const RefPlane texture(texture_ref);
+    const RefPlane ramp(ramp_ref);
+    const std::pair<const Plane *, const RefPlane *> planes[] = {
+        {&noise_cur, &noise}, {&texture_cur, &texture},
+        {&ramp_cur, &ramp}};
+
+    for (const int bs : {8, 16, 32}) {
+        const int xs[] = {0, (kW - bs) / 2, kW - bs};
+        const int ys[] = {0, (kH - bs) / 2, kH - bs};
+        for (const int range : {4, 8, 12, 64}) {
+            for (const auto &[cur, ref] : planes) {
+                for (const int by : ys) {
+                    for (const int bx : xs) {
+                        // Predictors pulling the window against each
+                        // frame edge and corner, plus a nearby one.
+                        const MotionVector pulls[] = {
+                            {-512, 0}, {512, 0}, {0, -512}, {0, 512},
+                            {-512, -512}, {512, 512},
+                            {static_cast<int16_t>(rng.range(-20, 20)),
+                             static_cast<int16_t>(rng.range(-20, 20))}};
+                        for (const MotionVector pull : pulls) {
+                            MeContext me;
+                            me.src = cur;
+                            me.ref = ref;
+                            me.block_x = bx;
+                            me.block_y = by;
+                            me.block_w = bs;
+                            me.block_h = bs;
+                            me.pred = pull;
+                            me.has_seed = rng.below(2) == 0;
+                            me.seed = MotionVector{
+                                static_cast<int16_t>(rng.range(-30, 30)),
+                                static_cast<int16_t>(rng.range(-30, 30))};
+                            me.lambda =
+                                static_cast<double>(rng.below(4000)) / 100;
+                            me.range = range;
+                            SCOPED_TRACE(::testing::Message()
+                                         << "bs=" << bs << " range=" << range
+                                         << " block=(" << bx << "," << by
+                                         << ") pred=(" << pull.x << ","
+                                         << pull.y << ") lambda="
+                                         << me.lambda);
+                            expectMatchesRasterScan(me);
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(MotionSearch, ClampsNearFrameBorder)

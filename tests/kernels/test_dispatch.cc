@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "codec/decoder.h"
@@ -116,49 +117,63 @@ TEST(KernelDispatch, EncodeBitExactAcrossIsaLevels)
                          123),
         "isa-sweep");
 
+    // VBC effort 2 (hexagon, full-pel) and 9 (exhaustive search, SATD
+    // sub-pel and intra); NGC HEVC-like speed 1 and VP9-like speed 0
+    // (exhaustive search).
+    const int vbc_efforts[] = {2, 9};
+    const std::pair<vbench::ngc::NgcProfile, int> ngc_settings[] = {
+        {vbench::ngc::NgcProfile::HevcLike, 1},
+        {vbench::ngc::NgcProfile::Vp9Like, 0}};
+
     struct Result {
-        std::vector<uint8_t> vbc;
-        std::vector<uint8_t> ngc;
-        double psnr;
-        double ssim;
+        std::vector<std::vector<uint8_t>> streams;
+        std::vector<double> psnr;
+        std::vector<double> ssim;
     };
     std::vector<Result> results;
 
     for (const Isa isa : availableLevels()) {
         ScopedKernelIsa pin(isa);
+        Result result;
 
-        vbench::codec::EncoderConfig vbc_cfg;
-        vbc_cfg.rc.mode = vbench::codec::RcMode::Cqp;
-        vbc_cfg.rc.qp = 30;
-        vbc_cfg.effort = 2;
-        vbc_cfg.gop = 4;
-        vbench::codec::Encoder vbc(vbc_cfg);
-        const auto vbc_out = vbc.encode(clip);
+        for (const int effort : vbc_efforts) {
+            vbench::codec::EncoderConfig vbc_cfg;
+            vbc_cfg.rc.mode = vbench::codec::RcMode::Cqp;
+            vbc_cfg.rc.qp = 30;
+            vbc_cfg.effort = effort;
+            vbc_cfg.gop = 4;
+            vbench::codec::Encoder vbc(vbc_cfg);
+            const auto vbc_out = vbc.encode(clip);
 
-        vbench::ngc::NgcConfig ngc_cfg;
-        ngc_cfg.rc.mode = vbench::codec::RcMode::Cqp;
-        ngc_cfg.rc.qp = 30;
-        ngc_cfg.speed = 1;
-        ngc_cfg.gop = 4;
-        vbench::ngc::NgcEncoder ngc(ngc_cfg);
-        const auto ngc_out = ngc.encode(clip);
+            // Decode under the same pinned ISA: the decoder's kernels
+            // must reconstruct identically too, and the metrics kernels
+            // must score identically.
+            const auto decoded = vbench::codec::decode(vbc_out.stream);
+            ASSERT_TRUE(decoded.has_value());
+            result.streams.push_back(vbc_out.stream);
+            result.psnr.push_back(
+                vbench::metrics::videoPsnr(clip, *decoded));
+            result.ssim.push_back(
+                vbench::metrics::videoSsim(clip, *decoded));
+        }
 
-        // Decode under the same pinned ISA: the decoder's kernels must
-        // reconstruct identically too, and the metrics kernels must
-        // score identically.
-        const auto decoded = vbench::codec::decode(vbc_out.stream);
-        ASSERT_TRUE(decoded.has_value());
-        results.push_back({vbc_out.stream, ngc_out.stream,
-                           vbench::metrics::videoPsnr(clip, *decoded),
-                           vbench::metrics::videoSsim(clip, *decoded)});
+        for (const auto &[profile, speed] : ngc_settings) {
+            vbench::ngc::NgcConfig ngc_cfg;
+            ngc_cfg.rc.mode = vbench::codec::RcMode::Cqp;
+            ngc_cfg.rc.qp = 30;
+            ngc_cfg.profile = profile;
+            ngc_cfg.speed = speed;
+            ngc_cfg.gop = 4;
+            vbench::ngc::NgcEncoder ngc(ngc_cfg);
+            result.streams.push_back(ngc.encode(clip).stream);
+        }
+        results.push_back(std::move(result));
     }
 
     ASSERT_FALSE(results.empty());
     for (size_t i = 1; i < results.size(); ++i) {
-        EXPECT_EQ(results[0].vbc, results[i].vbc)
-            << "VBC stream differs at ISA level " << i;
-        EXPECT_EQ(results[0].ngc, results[i].ngc)
-            << "NGC stream differs at ISA level " << i;
+        EXPECT_EQ(results[0].streams, results[i].streams)
+            << "a stream differs at ISA level " << i;
         EXPECT_EQ(results[0].psnr, results[i].psnr)
             << "PSNR differs at ISA level " << i;
         EXPECT_EQ(results[0].ssim, results[i].ssim)

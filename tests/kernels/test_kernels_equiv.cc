@@ -77,22 +77,52 @@ TEST(KernelsEquiv, Sad)
 
 TEST(KernelsEquiv, Satd)
 {
+    // Random pixels, then the extremes of the residual range: all-0
+    // against all-255 blocks (either way round), +-255 checkerboards,
+    // which put the largest magnitude into a single Hadamard
+    // coefficient, and random +-255 signs.
+    enum Pattern { Random, ZeroVs255, Max255VsZero, Checker, AntiChecker,
+                   RandomSigns, kPatterns };
+    auto pixel = [](int pattern, bool first, int x, int y,
+                    Rng &rng) -> uint8_t {
+        const bool odd = ((x + y) & 1) != 0;
+        switch (pattern) {
+          case ZeroVs255: return first ? 0 : 255;
+          case Max255VsZero: return first ? 255 : 0;
+          case Checker: return (odd == first) ? 255 : 0;
+          case AntiChecker: return (odd != first) ? 255 : 0;
+          case RandomSigns: return rng.below(2) ? 255 : 0;
+          default: return static_cast<uint8_t>(rng.below(256));
+        }
+    };
+
     Rng rng(12);
     const KernelOps &ref = *scalarOps();
     for (const KernelOps *vec : vectorBackends()) {
-        for (int w : {4, 8, 12, 16, 32}) {
-            for (int h : {4, 8, 16}) {
-                const int a_stride = w + static_cast<int>(rng.below(9));
-                const int b_stride = w + static_cast<int>(rng.below(9));
-                const auto a =
-                    randomBytes(rng, static_cast<size_t>(a_stride) * h);
-                const auto b =
-                    randomBytes(rng, static_cast<size_t>(b_stride) * h);
-                EXPECT_EQ(ref.satd(a.data(), a_stride, b.data(), b_stride,
-                                   w, h),
-                          vec->satd(a.data(), a_stride, b.data(),
-                                    b_stride, w, h))
-                    << vec->name << " w=" << w << " h=" << h;
+        // Every width SATD accepts up to 64, so 16-wide strips run
+        // together with 8- and 4-wide tails (20, 24, 40, 48, ...).
+        for (int w = 4; w <= 64; w += 4) {
+            for (int h : {4, 8, 12, 16, 32}) {
+                for (int pattern = 0; pattern < kPatterns; ++pattern) {
+                    const int a_stride = w + static_cast<int>(rng.below(9));
+                    const int b_stride = w + static_cast<int>(rng.below(9));
+                    std::vector<uint8_t> a(static_cast<size_t>(a_stride) * h);
+                    std::vector<uint8_t> b(static_cast<size_t>(b_stride) * h);
+                    for (int y = 0; y < h; ++y) {
+                        for (int x = 0; x < a_stride; ++x)
+                            a[y * a_stride + x] =
+                                pixel(pattern, true, x, y, rng);
+                        for (int x = 0; x < b_stride; ++x)
+                            b[y * b_stride + x] =
+                                pixel(pattern, false, x, y, rng);
+                    }
+                    EXPECT_EQ(ref.satd(a.data(), a_stride, b.data(),
+                                       b_stride, w, h),
+                              vec->satd(a.data(), a_stride, b.data(),
+                                        b_stride, w, h))
+                        << vec->name << " w=" << w << " h=" << h
+                        << " pattern=" << pattern;
+                }
             }
         }
     }

@@ -2,10 +2,10 @@
  * @file
  * RemotePool supervision (src/rpc/remote_pool.h): real fork/exec'd
  * vbench_worker children produce byte-identical streams to in-process
- * execution; a SIGKILLed child's job survives via retry + respawn; a
- * handshake protocol mismatch and a missing worker binary both walk
- * the degradation ladder down to in-process execution instead of
- * failing the job.
+ * execution; an idle pool picks up every submitted job; a SIGKILLed
+ * child's job survives via retry + respawn; a handshake protocol
+ * mismatch and a missing worker binary both walk the degradation
+ * ladder down to in-process execution instead of failing the job.
  */
 
 #include <gtest/gtest.h>
@@ -121,6 +121,35 @@ TEST(RemotePool, ChildProcessesProduceByteIdenticalStreams)
         EXPECT_GT(w.pid, 0);
         EXPECT_FALSE(w.tier.empty());
     }
+}
+
+TEST(RemotePool, IdlePoolNeverStrandsASubmittedJob)
+{
+    // A 1-slot pool fed one job at a time: every submit finds the slot
+    // thread idle, waiting beside the hedge thread. A wakeup that
+    // reaches only the hedge thread would leave the job queued forever,
+    // so each wait is bounded and a stranded job fails the test
+    // instead of hanging it.
+    const CorpusClip &clip = testClip();
+    RemotePoolConfig config;
+    config.workers = 1;
+    RemotePool pool(config);
+    constexpr int kJobs = 20;
+    for (int k = 0; k < kJobs; ++k) {
+        const size_t segment = static_cast<size_t>(k % 2);
+        sched::JobHandle handle =
+            pool.submit(encodeJob(clip, static_cast<int>(segment)),
+                        clip.seg_original[segment]);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (!handle.finished() &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ASSERT_TRUE(handle.finished()) << "job " << k << " stranded";
+        const sched::JobResult &jr = handle.wait();
+        EXPECT_TRUE(jr.ok()) << jr.outcome.error;
+    }
+    EXPECT_EQ(pool.stats().completed, static_cast<uint64_t>(kJobs));
 }
 
 TEST(RemotePool, SigkilledChildJobSurvivesViaRetryAndRespawn)
