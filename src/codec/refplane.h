@@ -10,11 +10,14 @@
  * checks.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <vector>
 
 #include "kernels/kernel_ops.h"
+#include "video/frame.h"
 #include "video/plane.h"
 
 namespace vbench::codec {
@@ -87,5 +90,20 @@ struct RefFrame {
 
     bool empty() const { return y.empty(); }
 };
+
+/**
+ * Make `recon` the newest reference picture, keeping at most
+ * max(1, max_refs). Encoders and decoders run this same update, so
+ * both sides always hold the same reference list.
+ */
+inline void
+pushReference(std::deque<RefFrame> &refs, const video::Frame &recon,
+              int max_refs)
+{
+    refs.push_front(RefFrame{RefPlane(recon.y()), RefPlane(recon.u()),
+                             RefPlane(recon.v())});
+    while (static_cast<int>(refs.size()) > std::max(1, max_refs))
+        refs.pop_back();
+}
 
 } // namespace vbench::codec

@@ -7,65 +7,17 @@
  * benchmark harness can drive either interchangeably.
  */
 
-#include <atomic>
-
-#include "codec/encoder.h"
-#include "codec/ratecontrol.h"
+#include "codec/frame_pipeline.h"
 #include "ngc/ngc_types.h"
-#include "uarch/probe.h"
 #include "video/video.h"
 
 namespace vbench::ngc {
 
-/** NGC encoder configuration. */
-struct NgcConfig {
-    codec::RateControlConfig rc;
+/** NGC encoder configuration: the shared pipeline settings plus tools. */
+struct NgcConfig : codec::PipelineConfig {
     NgcProfile profile = NgcProfile::HevcLike;
     /// 0 = slowest / best (Popular-grade), 1 = balanced, 2 = fast.
     int speed = 1;
-    int gop = 30;
-    uarch::UarchProbe *probe = nullptr;
-    /// Stage tracer; null (the default) falls back to the
-    /// env-configured obs::globalTracer(), and with neither attached
-    /// every instrumentation point costs one branch, same contract as
-    /// the null probe.
-    obs::Tracer *tracer = nullptr;
-    /**
-     * Intra-frame wavefront parallelism: superblock rows analyzed in
-     * flight at once. <= 0 resolves VBENCH_FRAME_THREADS through the
-     * sched::decideFrameThreads() oversubscription guard; callers that
-     * already ran the guard (core::transcode) pass the decided width.
-     * The bitstream is bit-exact for every value — entropy coding is
-     * a serial pass over the completed row records. Forced to 1 when a
-     * uarch probe is attached (probes assume serial recording).
-     */
-    int frame_threads = 0;
-    /**
-     * Entropy slice bands per frame. Each slice is a horizontal band of
-     * whole superblock rows with its own length-prefixed bitstream
-     * segment; entropy contexts and spatial prediction (intra
-     * neighbors, the cell MV predictor) reset at the slice head, so
-     * the entropy pass runs slice-parallel on the wavefront worker
-     * set. <= 0 resolves VBENCH_SLICES (core::RuntimeConfig); 1 is the
-     * legacy single-segment payload, byte-identical to pre-slice
-     * streams at every thread width. Clamped to the frame's SB row
-     * count and codec::kMaxSlices. Forced to 1 when a uarch probe is
-     * attached (probes take the fused serial path).
-     */
-    int slice_count = 0;
-    /// Cooperative cancellation: checked between rows and frames; a
-    /// cancelled encode returns a truncated (unusable) result quickly.
-    const std::atomic<bool> *cancel = nullptr;
-    /// Split-and-stitch: force an IDR and restart the GOP phase every
-    /// N source frames (<= 0 off). Same contract as
-    /// codec::EncoderConfig::segment_frames.
-    int segment_frames = 0;
-    /// Rate-controller state carried in from the preceding segment of
-    /// a split-and-stitch chain; empty starts fresh.
-    std::optional<codec::RcSnapshot> rc_in;
-    /// Two-pass only: whole-clip pass-1 stats collected externally;
-    /// same contract as codec::EncoderConfig::pass_one.
-    const codec::PassOneStats *pass_one = nullptr;
 };
 
 /**
@@ -85,8 +37,7 @@ class NgcEncoder
 
 /**
  * Run the NGC two-pass analysis pass and return its per-frame stats;
- * segment chains concatenate per-segment stats into the whole-clip
- * table handed to NgcConfig::pass_one (see codec::collectPassOneStats).
+ * see codec::FramePipeline::passOneStats.
  */
 codec::PassOneStats collectNgcPassOneStats(const NgcConfig &config,
                                            const video::Video &source);
