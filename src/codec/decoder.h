@@ -7,19 +7,11 @@
 
 #include <optional>
 
+#include "codec/frame_decoder.h"
 #include "codec/types.h"
-#include "obs/trace.h"
-#include "uarch/probe.h"
 #include "video/video.h"
 
 namespace vbench::codec {
-
-/** Decoder configuration. */
-struct DecoderConfig {
-    uarch::UarchProbe *probe = nullptr;
-    /// Stage tracer; null (the default) costs one branch per frame.
-    obs::Tracer *tracer = nullptr;
-};
 
 /**
  * Decode a VBC stream.

@@ -75,4 +75,13 @@ copyPrediction(video::Plane &recon, int x, int y, int n,
     kernels::ops().copy2d(pred, n, recon.row(y) + x, recon.width(), n, n);
 }
 
+/** recon = clamp(pred + residual) over the n x n block at (x, y). */
+inline void
+addResidual(video::Plane &recon, int x, int y, int n, const uint8_t *pred,
+            int pred_stride, const int16_t *residual, int res_stride)
+{
+    kernels::ops().addClampBlock(pred, pred_stride, residual, res_stride,
+                                 recon.row(y) + x, recon.width(), n, n);
+}
+
 } // namespace vbench::codec

@@ -7,27 +7,23 @@
 
 #include <optional>
 
+#include "codec/frame_decoder.h"
 #include "codec/types.h"
-#include "uarch/probe.h"
 #include "video/video.h"
 
 namespace vbench::ngc {
-
-/** Decoder configuration. */
-struct NgcDecoderConfig {
-    uarch::UarchProbe *probe = nullptr;
-};
 
 /**
  * Decode an NGC stream.
  * @return the clip, or nullopt on malformed input.
  */
-std::optional<video::Video> ngcDecode(const uint8_t *data, size_t size,
-                                      const NgcDecoderConfig &config = {});
+std::optional<video::Video>
+ngcDecode(const uint8_t *data, size_t size,
+          const codec::DecoderConfig &config = {});
 
 inline std::optional<video::Video>
 ngcDecode(const codec::ByteBuffer &stream,
-          const NgcDecoderConfig &config = {})
+          const codec::DecoderConfig &config = {})
 {
     return ngcDecode(stream.data(), stream.size(), config);
 }
