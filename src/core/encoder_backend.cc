@@ -26,6 +26,23 @@ rcName(codec::RcMode mode)
     return "unknown";
 }
 
+/** The settings both software encoders take straight from a request. */
+void
+copyPipelineConfig(const TranscodeRequest &request, obs::Tracer *tracer,
+                   codec::PipelineConfig &config)
+{
+    config.rc = request.rc;
+    config.gop = request.gop;
+    config.probe = request.probe;
+    config.tracer = tracer;
+    config.frame_threads = request.frame_threads;
+    config.slice_count = request.slice_count;
+    config.cancel = request.cancel;
+    config.segment_frames = request.segment_frames;
+    config.rc_in = request.rc_in;
+    config.pass_one = request.pass_one;
+}
+
 /** The reference software encoder at an effort level. */
 class VbcBackend final : public EncoderBackend
 {
@@ -33,20 +50,11 @@ class VbcBackend final : public EncoderBackend
     VbcBackend(const TranscodeRequest &request, obs::Tracer *tracer)
         : EncoderBackend(EncoderKind::Vbc)
     {
-        config_.rc = request.rc;
+        copyPipelineConfig(request, tracer, config_);
         config_.effort = request.effort;
-        config_.gop = request.gop;
         config_.entropy_override = request.entropy_override;
         config_.deblock_override = request.deblock_override;
         config_.tools_override = request.tools_override;
-        config_.probe = request.probe;
-        config_.tracer = tracer;
-        config_.frame_threads = request.frame_threads;
-        config_.slice_count = request.slice_count;
-        config_.cancel = request.cancel;
-        config_.segment_frames = request.segment_frames;
-        config_.rc_in = request.rc_in;
-        config_.pass_one = request.pass_one;
     }
 
     BackendEncodeResult
@@ -82,20 +90,11 @@ class NgcBackend final : public EncoderBackend
     NgcBackend(const TranscodeRequest &request, obs::Tracer *tracer)
         : EncoderBackend(request.kind)
     {
-        config_.rc = request.rc;
+        copyPipelineConfig(request, tracer, config_);
         config_.profile = request.kind == EncoderKind::NgcHevc
             ? ngc::NgcProfile::HevcLike
             : ngc::NgcProfile::Vp9Like;
         config_.speed = request.ngc_speed;
-        config_.gop = request.gop;
-        config_.probe = request.probe;
-        config_.tracer = tracer;
-        config_.frame_threads = request.frame_threads;
-        config_.slice_count = request.slice_count;
-        config_.cancel = request.cancel;
-        config_.segment_frames = request.segment_frames;
-        config_.rc_in = request.rc_in;
-        config_.pass_one = request.pass_one;
     }
 
     BackendEncodeResult

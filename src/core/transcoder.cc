@@ -199,13 +199,12 @@ transcode(const codec::ByteBuffer &input, const video::Video &original,
     TranscodeRequest resolved = request;
     resolved.frame_threads = ft_decision.threads;
     // Resolve the slice count the same way (0 = the env knob) so the
-    // outcome reports the effective value and the backends don't each
-    // re-read the environment. Per-frame clamping to the MB/SB row
-    // count still happens inside the encoders.
+    // backends don't each re-read the environment. The encoders clamp
+    // it to the row count (and a probe pins it to 1); the outcome
+    // reports the count they ran with.
     resolved.slice_count = request.slice_count > 0
         ? request.slice_count
         : freshRuntimeConfig().slices;
-    outcome.slice_count = resolved.slice_count;
 
     std::unique_ptr<EncoderBackend> backend =
         EncoderBackend::create(resolved, tracer);
@@ -242,6 +241,7 @@ transcode(const codec::ByteBuffer &input, const video::Video &original,
         outcome.stream = std::move(enc.encoded.stream);
         frame_stats = std::move(enc.encoded.frames);
         outcome.rc_state = enc.encoded.rc_state;
+        outcome.slice_count = enc.encoded.slice_count;
         if (enc.modeled_seconds) {
             // Fixed-function pipeline: report the model's time, and
             // expose it as its own phase stage.

@@ -142,7 +142,8 @@ struct TranscodeOutcome {
     /// Effective intra-frame wavefront width the encode ran with,
     /// after the oversubscription guard (1 = serial analysis).
     int frame_threads = 1;
-    /// Effective entropy slice count the encode ran with (1 = legacy
+    /// Effective entropy slice count the encode ran with — the stream
+    /// header's slice_count, after the row and probe clamps (1 =
     /// single-segment payloads, serial entropy).
     int slice_count = 1;
     /// Rate-controller state after the encode — feed into the next

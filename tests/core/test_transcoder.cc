@@ -9,12 +9,14 @@
 #include <set>
 #include <string>
 
+#include "codec/bitstream.h"
 #include "codec/decoder.h"
 #include "codec/encoder.h"
 #include "core/reference.h"
 #include "core/scoring.h"
 #include "core/transcoder.h"
 #include "metrics/rates.h"
+#include "ngc/ngc_bitstream.h"
 #include "obs/trace.h"
 #include "video/synth.h"
 
@@ -58,6 +60,42 @@ TEST(Transcoder, EveryEncoderKindRuns)
         EXPECT_GT(outcome.m.psnr_db, 20.0) << toString(kind);
         EXPECT_GT(outcome.m.speed_mpix_s, 0.0) << toString(kind);
         EXPECT_GT(outcome.m.bitrate_bpps, 0.0) << toString(kind);
+    }
+}
+
+TEST(Transcoder, SliceCountIsTheOneTheStreamCarries)
+{
+    // 176x112 is 7 macroblock rows and 4 superblock rows: a request for
+    // 8 slices runs with 7 (VBC) and 4 (NGC), and the outcome must say
+    // so rather than echo the request.
+    const video::Video v = clip(176, 112, 2);
+    const codec::ByteBuffer universal = makeUniversalStream(v);
+    for (const EncoderKind kind : {EncoderKind::Vbc, EncoderKind::NgcHevc}) {
+        TranscodeRequest req;
+        req.kind = kind;
+        req.ngc_speed = 2;
+        req.frame_threads = 1;
+        req.slice_count = 8;
+        const TranscodeOutcome outcome = transcode(universal, v, req);
+        ASSERT_TRUE(outcome.ok) << toString(kind) << ": " << outcome.error;
+        size_t consumed = 0;
+        const uint32_t header_slices = kind == EncoderKind::Vbc
+            ? codec::parseStreamHeader(outcome.stream.data(),
+                                       outcome.stream.size(), consumed)
+                  ->slice_count
+            : ngc::parseNgcHeader(outcome.stream.data(),
+                                  outcome.stream.size(), consumed)
+                  ->slice_count;
+        EXPECT_EQ(header_slices, kind == EncoderKind::Vbc ? 7u : 4u);
+        EXPECT_EQ(static_cast<uint32_t>(outcome.slice_count), header_slices)
+            << toString(kind);
+        const RunReport report = makeRunReport("slices", req, outcome);
+        double reported = 0;
+        for (const auto &[name, value] : report.extra)
+            if (name == "slice_count")
+                reported = value;
+        EXPECT_EQ(reported, static_cast<double>(header_slices))
+            << toString(kind);
     }
 }
 
