@@ -115,4 +115,20 @@ ngcIntraPredict(NgcIntraMode mode, const video::Plane &recon, int x, int y,
     }
 }
 
+void
+ngcIntraPredictCu(NgcIntraMode mode, const video::Frame &recon, int x,
+                  int y, int size, int slice_top, uint8_t *pred_y,
+                  uint8_t *pred_u, uint8_t *pred_v)
+{
+    const int cx = x / 2;
+    const int cy = y / 2;
+    const int ctop = slice_top / 2;
+    ngcIntraPredict(mode, recon.y(), x, y, size, pred_y, slice_top);
+    const NgcIntraMode cmode = ngcIntraAvailable(mode, cx, cy, ctop)
+        ? mode
+        : NgcIntraMode::Dc;
+    ngcIntraPredict(cmode, recon.u(), cx, cy, size / 2, pred_u, ctop);
+    ngcIntraPredict(cmode, recon.v(), cx, cy, size / 2, pred_v, ctop);
+}
+
 } // namespace vbench::ngc

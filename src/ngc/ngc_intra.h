@@ -11,6 +11,7 @@
 #include <cstdint>
 
 #include "ngc/ngc_types.h"
+#include "video/frame.h"
 #include "video/plane.h"
 
 namespace vbench::ngc {
@@ -34,5 +35,14 @@ void ngcIntraPredict(NgcIntraMode mode, const video::Plane &recon, int x,
  */
 bool ngcIntraAvailable(NgcIntraMode mode, int x, int y,
                        int slice_top = 0);
+
+/**
+ * Intra prediction of a whole size x size CU at luma (x, y): luma from
+ * `mode`, chroma from `mode` where it is available at the chroma
+ * position and DC elsewhere (the chroma mode is derived, never coded).
+ */
+void ngcIntraPredictCu(NgcIntraMode mode, const video::Frame &recon, int x,
+                       int y, int size, int slice_top, uint8_t *pred_y,
+                       uint8_t *pred_u, uint8_t *pred_v);
 
 } // namespace vbench::ngc
