@@ -32,16 +32,14 @@
 
 namespace vbench::codec {
 
-/** Sequence-level parameters carried in the stream header. */
-struct StreamHeader {
+/** Sequence-level parameters every container header carries. */
+struct HeaderFields {
     int width = 0;
     int height = 0;
     uint32_t fps_num = 30;
     uint32_t fps_den = 1;
     uint32_t frame_count = 0;
-    EntropyMode entropy = EntropyMode::Vlc;
     bool deblock = true;
-    bool adaptive_quant = false;
     uint32_t num_refs = 1;
     /// Entropy slice bands per frame; 1 = the legacy single-segment
     /// payload (written as a version-1 header, byte-identical to the
@@ -49,6 +47,22 @@ struct StreamHeader {
     uint32_t slice_count = 1;
 
     double fps() const { return static_cast<double>(fps_num) / fps_den; }
+
+    /** Same fields apart from the frame count (stitchable segments). */
+    bool
+    sameShape(const HeaderFields &o) const
+    {
+        return width == o.width && height == o.height &&
+            fps_num == o.fps_num && fps_den == o.fps_den &&
+            deblock == o.deblock && num_refs == o.num_refs &&
+            slice_count == o.slice_count;
+    }
+};
+
+/** VBC sequence parameters: the shared fields plus its coding tools. */
+struct StreamHeader : HeaderFields {
+    EntropyMode entropy = EntropyMode::Vlc;
+    bool adaptive_quant = false;
 };
 
 inline constexpr char kMagic[4] = {'V', 'B', 'C', '1'};
@@ -60,11 +74,17 @@ inline constexpr uint32_t kVersionSlices = 2;
 /// not produce thousands of two-byte slices.
 inline constexpr uint32_t kMaxSlices = 64;
 
-/** Serialize the stream header onto a buffer. */
-inline void
-writeStreamHeader(ByteBuffer &out, const StreamHeader &header)
+/**
+ * Write a container header: `magic`, then the fields every codec's
+ * header shares, with `flags(BitWriter &)` writing the codec's own
+ * flag bits after frame_count. Shared by the VBC and NGC containers.
+ */
+template <class Header, class Flags>
+void
+writeHeaderFields(ByteBuffer &out, const char *magic, const Header &header,
+                  Flags flags)
 {
-    out.insert(out.end(), kMagic, kMagic + 4);
+    out.insert(out.end(), magic, magic + 4);
     BitWriter bits(out);
     bits.putUe(header.slice_count > 1 ? kVersionSlices : kVersion);
     bits.putUe(static_cast<uint32_t>(header.width));
@@ -72,9 +92,7 @@ writeStreamHeader(ByteBuffer &out, const StreamHeader &header)
     bits.putUe(header.fps_num);
     bits.putUe(header.fps_den);
     bits.putUe(header.frame_count);
-    bits.putBit(header.entropy == EntropyMode::Arith);
-    bits.putBit(header.deblock);
-    bits.putBit(header.adaptive_quant);
+    flags(bits);
     bits.putUe(header.num_refs);
     if (header.slice_count > 1)
         bits.putUe(header.slice_count);
@@ -82,17 +100,20 @@ writeStreamHeader(ByteBuffer &out, const StreamHeader &header)
 }
 
 /**
- * Parse the stream header.
+ * Parse a header written by writeHeaderFields; `flags(BitReader &,
+ * Header &)` reads the codec's flag bits.
  * @param[out] consumed bytes consumed from `data`.
  * @return header, or nullopt if malformed.
  */
-inline std::optional<StreamHeader>
-parseStreamHeader(const uint8_t *data, size_t size, size_t &consumed)
+template <class Header, class Flags>
+std::optional<Header>
+parseHeaderFields(const uint8_t *data, size_t size, size_t &consumed,
+                  const char *magic, Flags flags)
 {
-    if (size < 8 || std::memcmp(data, kMagic, 4) != 0)
+    if (size < 8 || std::memcmp(data, magic, 4) != 0)
         return std::nullopt;
     BitReader bits(data + 4, size - 4);
-    StreamHeader header;
+    Header header;
     const uint32_t version = bits.getUe();
     if (version != kVersion && version != kVersionSlices)
         return std::nullopt;
@@ -101,9 +122,7 @@ parseStreamHeader(const uint8_t *data, size_t size, size_t &consumed)
     header.fps_num = bits.getUe();
     header.fps_den = bits.getUe();
     header.frame_count = bits.getUe();
-    header.entropy = bits.getBit() ? EntropyMode::Arith : EntropyMode::Vlc;
-    header.deblock = bits.getBit();
-    header.adaptive_quant = bits.getBit();
+    flags(bits, header);
     header.num_refs = bits.getUe();
     if (version >= kVersionSlices)
         header.slice_count = bits.getUe();
@@ -116,6 +135,35 @@ parseStreamHeader(const uint8_t *data, size_t size, size_t &consumed)
     }
     consumed = 4 + (bits.bitPos() + 7) / 8;
     return header;
+}
+
+/** Serialize the stream header onto a buffer. */
+inline void
+writeStreamHeader(ByteBuffer &out, const StreamHeader &header)
+{
+    writeHeaderFields(out, kMagic, header, [&header](BitWriter &bits) {
+        bits.putBit(header.entropy == EntropyMode::Arith);
+        bits.putBit(header.deblock);
+        bits.putBit(header.adaptive_quant);
+    });
+}
+
+/**
+ * Parse the stream header.
+ * @param[out] consumed bytes consumed from `data`.
+ * @return header, or nullopt if malformed.
+ */
+inline std::optional<StreamHeader>
+parseStreamHeader(const uint8_t *data, size_t size, size_t &consumed)
+{
+    return parseHeaderFields<StreamHeader>(
+        data, size, consumed, kMagic,
+        [](BitReader &bits, StreamHeader &header) {
+            header.entropy =
+                bits.getBit() ? EntropyMode::Arith : EntropyMode::Vlc;
+            header.deblock = bits.getBit();
+            header.adaptive_quant = bits.getBit();
+        });
 }
 
 /**
