@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <initializer_list>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -78,11 +80,24 @@ TEST(MvBits, ZeroDeltaIsCheapest)
     EXPECT_GT(mvBits(MotionVector{20, 0}, pred), zero_cost);
 }
 
+/**
+ * gtest names each case after the raw bytes of its parameter, so the
+ * three bytes after the one-byte `kind` are a zeroed member rather
+ * than implicit padding: uninitialized padding gave the cases a
+ * different name from run to run.
+ */
 struct SearchCase {
+    SearchCase(SearchKind k, int r, int x, int y)
+        : kind(k), range(r), dx(x), dy(y)
+    {
+    }
     SearchKind kind;
+    uint8_t zero[3] = {};
     int range;
     int dx, dy;  ///< true full-pel displacement
 };
+static_assert(std::has_unique_object_representations_v<SearchCase>,
+              "SearchCase must have no padding bytes");
 
 class SearchSweep : public ::testing::TestWithParam<SearchCase>
 {
