@@ -10,8 +10,9 @@
  *   --smoke   quick randomized scalar-vs-vector equivalence check;
  *             exits nonzero on any mismatch.
  *   --digest  encode a deterministic synthetic clip with both codecs
- *             (VBC at efforts 2 and 9, so the exhaustive search and
- *             SATD sub-pel/intra paths are covered) under the
+ *             (VBC at efforts 2 and 9 and NGC VP9-like at speed 0, so
+ *             the exhaustive search runs at block sizes 8, 16 and 32
+ *             and the SATD sub-pel/intra paths are covered) under the
  *             dispatch-selected ISA and print stream bytes, a stream
  *             hash, and quality scores — byte-identical output across
  *             VBENCH_ISA settings by construction.
@@ -115,6 +116,35 @@ kernelBenches()
                        }
                        g_sink = g_sink + acc;
                    }});
+    // One exhaustive-search SAD map each: effort 9's 16x16 search at
+    // range 12 (a 25 x 25 window) and its 8x8 search at range 6.
+    struct MapShape {
+        const char *name;
+        int bs;
+        int span;
+    };
+    for (const MapShape shape : {MapShape{"sad_map_16x16_r12", 16, 25},
+                                 MapShape{"sad_map_8x8_r6", 8, 13}}) {
+        const int bs = shape.bs;
+        const int span = shape.span;
+        out.push_back({shape.name, [bs, span](const KernelOps &k,
+                                              const BenchData &d,
+                                              long iters) {
+                           // Keep the window's bs + span rows in the plane.
+                           const uint32_t limit = static_cast<uint32_t>(
+                               d.stride * (d.height - 48));
+                           uint32_t map[25 * 25];
+                           uint64_t acc = 0;
+                           for (long i = 0; i < iters; ++i) {
+                               const uint32_t o = d.offsets[i & 63] % limit;
+                               k.sadMap(d.plane_a.data() + o, d.stride,
+                                        d.plane_b.data() + o, d.stride, bs,
+                                        bs, span, span, map);
+                               acc += map[i % (span * span)];
+                           }
+                           g_sink = g_sink + acc;
+                       }});
+    }
     out.push_back({"satd_8x8", [](const KernelOps &k, const BenchData &d,
                                   long iters) {
                        uint64_t acc = 0;
@@ -378,6 +408,23 @@ runDigest()
     }
     std::printf("vbc9 bytes=%zu hash=%016llx\n", slow.size(),
                 static_cast<unsigned long long>(fnv1a(slow)));
+
+    // NGC VP9-like speed 0: exhaustive search over the 32/16/8 CU tree,
+    // so the SAD map runs at every block size the codecs search.
+    ngc::NgcConfig vp9_cfg;
+    vp9_cfg.rc.mode = codec::RcMode::Cqp;
+    vp9_cfg.rc.qp = 30;
+    vp9_cfg.profile = ngc::NgcProfile::Vp9Like;
+    vp9_cfg.speed = 0;
+    vp9_cfg.gop = 4;
+    const std::vector<uint8_t> vp9 =
+        ngc::NgcEncoder(vp9_cfg).encode(clip).stream;
+    if (vp9.empty()) {
+        std::fprintf(stderr, "digest: NGC speed-0 encode produced no stream\n");
+        return 1;
+    }
+    std::printf("ngc-vp9-s0 bytes=%zu hash=%016llx\n", vp9.size(),
+                static_cast<unsigned long long>(fnv1a(vp9)));
     return 0;
 }
 
@@ -426,6 +473,26 @@ runSmoke()
             check(k->sse8(a.data(), b.data(), a.size()) ==
                       scalar->sse8(a.data(), b.data(), a.size()),
                   k->name, "sse8");
+
+            // SAD map: buffers sized exactly to the read contract.
+            const int bs = 8 << rng.below(3);
+            const int cols = 1 + static_cast<int>(rng.below(40));
+            const int rows = 1 + static_cast<int>(rng.below(20));
+            const int ref_stride = cols + bs + static_cast<int>(rng.below(9));
+            std::vector<uint8_t> blk(static_cast<size_t>(bs) * bs);
+            std::vector<uint8_t> win(
+                static_cast<size_t>(ref_stride) * (rows + bs - 2) + cols + bs);
+            for (auto &v : blk)
+                v = static_cast<uint8_t>(rng.below(256));
+            for (auto &v : win)
+                v = static_cast<uint8_t>(rng.below(256));
+            std::vector<uint32_t> m1(static_cast<size_t>(cols) * rows);
+            std::vector<uint32_t> m2(m1.size());
+            k->sadMap(blk.data(), bs, win.data(), ref_stride, bs, bs, cols,
+                      rows, m1.data());
+            scalar->sadMap(blk.data(), bs, win.data(), ref_stride, bs, bs,
+                           cols, rows, m2.data());
+            check(m1 == m2, k->name, "sadMap");
 
             int16_t res[64];
             for (auto &v : res)

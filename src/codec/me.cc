@@ -1,8 +1,6 @@
 #include "codec/me.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <vector>
 
 #include "codec/golomb.h"
@@ -108,10 +106,16 @@ struct SearchState {
     void
     finish(MotionVector mv, uint32_t sad)
     {
+        consider(mv, sad,
+                 sad + static_cast<uint32_t>(
+                           ctx.lambda * mvBits(mv, ctx.pred) + 0.5));
+    }
+
+    /** Count a candidate whose cost is already known; updates best. */
+    void
+    consider(MotionVector mv, uint32_t sad, uint32_t cost)
+    {
         ++candidates;
-        const uint32_t bits = mvBits(mv, ctx.pred);
-        const uint32_t cost =
-            sad + static_cast<uint32_t>(ctx.lambda * bits + 0.5);
         const bool improved = cost < best_cost;
         if (n_decisions < 64) {
             decisions |= static_cast<uint64_t>(improved) << n_decisions;
@@ -192,26 +196,19 @@ hexSearch(SearchState &state, int max_iters)
     squareRefine(state, 2);
 }
 
-/** |a - b| of two pixel sums (both below 2^31). */
-inline uint32_t
-absDiff(uint32_t a, uint32_t b)
-{
-    return static_cast<uint32_t>(std::abs(static_cast<int32_t>(a - b)));
-}
-
 /**
- * Exhaustive search by successive elimination. Visits exactly the
- * positions of a raster scan over the (2 range + 1)^2 window around the
- * clamped predictor, in raster order, each clamped into the MV bounds
- * as tryFullPel clamps it, the current best skipped. Before any SAD is
- * computed, one sliding-window pass over the clamped window gives every
- * position the pixel sums of the reference block's four quadrants. By
- * the triangle inequality SAD >= sum over quadrants of |src quadrant
- * sum - ref quadrant sum|, so a candidate whose bound plus the rate
- * term finish() would add already reaches the best cost cannot win: it
- * is counted as finish() would count it, but its SAD is never
- * computed. The winner, its cost, the candidate count and the
- * branch-model decisions are those of the plain raster scan.
+ * Exhaustive search. Visits exactly the positions of a raster scan over
+ * the (2 range + 1)^2 window around the clamped predictor, in raster
+ * order, each clamped into the MV bounds as tryFullPel clamps it, the
+ * current best skipped. One sadMap kernel call first computes the SAD
+ * of every position of the clamped window; the scan then prices each
+ * position with the rate term finish() would add, from one per-window
+ * table, and applies finish()'s bookkeeping. A row that is not clamped
+ * horizontally and whose cheapest cost does not beat the best holds no
+ * improvement: it is counted in one step, one position short when the
+ * current best lies in it (that position is skipped). The winner, its
+ * cost, the candidate count and the branch-model decisions are those
+ * of the plain raster scan.
  */
 void
 fullSearch(SearchState &state)
@@ -227,102 +224,72 @@ fullSearch(SearchState &state)
     const int y0 = clampInt(cy - ctx.range, state.min_my, state.max_my);
     const int y1 = clampInt(cy + ctx.range, state.min_my, state.max_my);
     const int columns = x1 - x0 + 1;
+    const int rows = y1 - y0 + 1;
+    const bool row_clamped =
+        cx - ctx.range < state.min_mx || cx + ctx.range > state.max_mx;
 
-    // Quadrants tile the block's even-sized core; for an odd size the
-    // last row/column is simply left out of the bound.
-    const int qw = ctx.block_w / 2;
-    const int qh = ctx.block_h / 2;
-
-    // quad[v * tw + u]: sum of the qw x qh reference area whose top-left
-    // is window offset (u, v); quadrant (i, j) of candidate (x, y) sits
-    // at offset (x - x0 + i qw, y - y0 + j qh). cols holds the running
-    // qh-row sums of each reference column. The pass reads exactly the
-    // pixels the window's SADs would read. cost_floor is one row's bound
-    // plus rate per column. All scratch is sized from the clamped
-    // window.
-    const int tw = columns + qw;
-    const int th = y1 - y0 + 1 + qh;
-    const int span = tw + qw - 1;
-    std::vector<uint32_t> scratch(static_cast<size_t>(tw) * th + span +
-                                  2 * static_cast<size_t>(columns));
-    uint32_t *quad = scratch.data();
-    uint32_t *cols = quad + static_cast<size_t>(tw) * th;
-    uint32_t *column_bits = cols + span;
-    uint32_t *cost_floor = column_bits + columns;
-
-    const int ref_stride = ctx.ref->stride();
-    const uint8_t *window =
-        ctx.ref->ptr(ctx.block_x + x0, ctx.block_y + y0);
-    for (int r = 0; r < qh; ++r)
-        for (int c = 0; c < span; ++c)
-            cols[c] += window[r * ref_stride + c];
-    for (int v = 0; v < th; ++v) {
-        if (v > 0) {
-            const uint8_t *leaving = window + (v - 1) * ref_stride;
-            const uint8_t *entering = leaving + qh * ref_stride;
-            for (int c = 0; c < span; ++c)
-                cols[c] += entering[c] - leaving[c];
-        }
-        uint32_t *out = quad + static_cast<size_t>(v) * tw;
-        uint32_t sum = 0;
-        for (int c = 0; c < qw; ++c)
-            sum += cols[c];
-        out[0] = sum;
-        for (int u = 1; u < tw; ++u) {
-            sum += cols[u + qw - 1] - cols[u - 1];
-            out[u] = sum;
-        }
+    // Scratch: the SAD map, then each column's MV bits, then one row of
+    // costs. The presets' ranges (up to 12) fit on the stack. The MV
+    // bounds keep the map's one-column over-read (kernel_ops.h) inside
+    // the reference pad.
+    constexpr size_t kStackScratch = 2048;
+    const size_t map_cells = static_cast<size_t>(columns) * rows;
+    const size_t scratch_cells = map_cells + 2 * static_cast<size_t>(columns);
+    uint32_t stack_scratch[kStackScratch];
+    std::vector<uint32_t> heap_scratch;
+    uint32_t *map = stack_scratch;
+    if (scratch_cells > kStackScratch) {
+        heap_scratch.resize(scratch_cells);
+        map = heap_scratch.data();
     }
+    uint32_t *column_bits = map + map_cells;
+    uint32_t *costs = column_bits + columns;
 
-    uint32_t src_quad[4] = {0, 0, 0, 0};
-    for (int r = 0; r < 2 * qh; ++r)
-        for (int c = 0; c < 2 * qw; ++c)
-            src_quad[(r >= qh) * 2 + (c >= qw)] +=
-                state.src_ptr[r * state.src_stride + c];
+    kernels::ops().sadMap(state.src_ptr, state.src_stride,
+                          ctx.ref->ptr(ctx.block_x + x0, ctx.block_y + y0),
+                          ctx.ref->stride(), ctx.block_w, ctx.block_h,
+                          columns, rows, map);
 
     // The rate term, exactly as finish() rounds it, by MV bits: a
     // column part plus a row part. se() bits grow with the magnitude,
-    // so the window's corners bound the sum.
+    // so the window's corners bound the sum; se() of any int32 takes at
+    // most 66 bits.
     const auto col_bits = [&](int x) { return seBits(2 * x - ctx.pred.x); };
     const auto row_bits = [&](int y) { return seBits(2 * y - ctx.pred.y); };
-    std::vector<uint32_t> rate(std::max(col_bits(x0), col_bits(x1)) +
-                               std::max(row_bits(y0), row_bits(y1)) + 1);
-    for (size_t bits = 0; bits < rate.size(); ++bits)
-        rate[bits] = static_cast<uint32_t>(
-            ctx.lambda * static_cast<uint32_t>(bits) + 0.5);
+    uint32_t rate[2 * 66 + 1];
+    const uint32_t max_bits = std::max(col_bits(x0), col_bits(x1)) +
+        std::max(row_bits(y0), row_bits(y1));
+    for (uint32_t bits = 0; bits <= max_bits; ++bits)
+        rate[bits] = static_cast<uint32_t>(ctx.lambda * bits + 0.5);
     for (int u = 0; u < columns; ++u)
         column_bits[u] = col_bits(x0 + u);
 
+    // The seeds were evaluated first, so the raster scan's best-skip
+    // guard (candidates > 0) always holds.
     for (int my = -ctx.range; my <= ctx.range; ++my) {
         const int y = clampInt(cy + my, state.min_my, state.max_my);
-        const uint32_t *top = quad + static_cast<size_t>(y - y0) * tw;
-        const uint32_t *bottom = top + static_cast<size_t>(qh) * tw;
-        const uint32_t *row_rate = rate.data() + row_bits(y);
+        const uint32_t *sads = map + static_cast<size_t>(y - y0) * columns;
+        const uint32_t *row_rate = rate + row_bits(y);
+        uint32_t cheapest = UINT32_MAX;
         for (int u = 0; u < columns; ++u) {
-            cost_floor[u] = absDiff(src_quad[0], top[u]) +
-                absDiff(src_quad[1], top[u + qw]) +
-                absDiff(src_quad[2], bottom[u]) +
-                absDiff(src_quad[3], bottom[u + qw]) +
-                row_rate[column_bits[u]];
+            costs[u] = sads[u] + row_rate[column_bits[u]];
+            cheapest = std::min(cheapest, costs[u]);
         }
-        // Rejections are tallied locally and flushed, in order, before
-        // the next evaluation. The seeds were evaluated first, so the
-        // raster scan's best-skip guard (candidates > 0) always holds.
-        uint32_t rejected = 0;
+        if (!row_clamped && cheapest >= state.best_cost) {
+            const bool best_in_row = state.best.y == 2 * y &&
+                state.best.x >= 2 * x0 && state.best.x <= 2 * x1;
+            state.countRejected(static_cast<uint32_t>(columns) -
+                                best_in_row);
+            continue;
+        }
         for (int mx = -ctx.range; mx <= ctx.range; ++mx) {
             const int x = clampInt(cx + mx, state.min_mx, state.max_mx);
-            if (MotionVector{static_cast<int16_t>(x * 2),
-                             static_cast<int16_t>(y * 2)} == state.best)
+            const MotionVector mv{static_cast<int16_t>(x * 2),
+                                  static_cast<int16_t>(y * 2)};
+            if (mv == state.best)
                 continue;
-            if (cost_floor[x - x0] >= state.best_cost) {
-                ++rejected;
-                continue;
-            }
-            state.countRejected(rejected);
-            rejected = 0;
-            state.evaluateFullPel(x, y);
+            state.consider(mv, sads[x - x0], costs[x - x0]);
         }
-        state.countRejected(rejected);
     }
 }
 

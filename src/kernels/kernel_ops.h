@@ -59,6 +59,21 @@ struct KernelOps {
     uint32_t (*satd)(const uint8_t *a, int a_stride, const uint8_t *b,
                      int b_stride, int w, int h);
 
+    /**
+     * SAD map of one w x h source block over a cols x rows window of
+     * reference positions (exhaustive motion search):
+     * out[v * cols + u] = sad(src, src_stride, ref + v * ref_stride + u,
+     * ref_stride, w, h) for 0 <= u < cols, 0 <= v < rows.
+     *
+     * Read contract: `ref` must be readable at rows 0 .. rows + h - 2
+     * and, in each, columns 0 .. cols + w - 1: one column past the last
+     * one a SAD uses (cols + w - 2), because vector versions load
+     * whole 16-byte groups. `src` is read over exactly w x h.
+     */
+    void (*sadMap)(const uint8_t *src, int src_stride, const uint8_t *ref,
+                   int ref_stride, int w, int h, int cols, int rows,
+                   uint32_t *out);
+
     // ----- Plane copy / half-pel interpolation ---------------------
 
     /** Copy a w x h rectangle between strided byte buffers. */

@@ -22,6 +22,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -170,6 +171,189 @@ sadAvx2(const uint8_t *a, int a_stride, const uint8_t *b, int b_stride,
         static_cast<uint64_t>(
             _mm_cvtsi128_si64(_mm_unpackhi_epi64(acc128, acc128)));
     return static_cast<uint32_t>(hsum64(acc) + lanes128) + tail;
+}
+
+// ----- SAD map -----------------------------------------------------
+//
+// mpsadbw scores one 4-byte source group against 8 consecutive
+// reference offsets per 128-bit lane. Its immediate picks the group
+// (bits 1:0, per lane) and whether the lane's reference window starts
+// at byte 0 or 4 (bit 2). With the reference loaded from p in lane 0
+// and from p + 8 in lane 1, one call scores 16 consecutive offsets:
+// groups 0 and 1 of a 16-byte source chunk at c use the pair loaded at
+// p + c (reference bytes 0 and 4), groups 2 and 3 the pair at p + c + 8.
+// Each call adds at most 4 * 255 per word, so a w <= 32 wide row adds
+// at most 255 w and eight rows stay below 65536 before they are widened
+// to 32 bits.
+
+// A 3-bit lane selection s times 9 sets it for both lanes (s | s << 3).
+constexpr int kMapGroup0 = 0;        // group 0, reference byte 0
+constexpr int kMapGroup1 = 5 * 9;    // group 1, reference byte 4
+constexpr int kMapGroup2 = 2 * 9;    // group 2, reference byte 0
+constexpr int kMapGroup3 = 7 * 9;    // group 3, reference byte 4
+constexpr int kMapRowsPer16Bit = 8;
+
+/** Reference bytes p[0..15] in lane 0 and p[8..23] in lane 1. */
+inline __m256i
+loadRefPair(const uint8_t *p)
+{
+    return _mm256_inserti128_si256(
+        _mm256_castsi128_si256(
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(p))),
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(p + 8)), 1);
+}
+
+/**
+ * SADs of a W x h block at the 16 reference offsets ref + 0 .. 15;
+ * reads reference columns 0 .. W + 15.
+ */
+template <int W>
+void
+sadMapRow16(const uint8_t *src, int src_stride, const uint8_t *ref,
+            int ref_stride, int h, uint32_t out[16])
+{
+    __m256i lo = _mm256_setzero_si256();
+    __m256i hi = _mm256_setzero_si256();
+    for (int r0 = 0; r0 < h; r0 += kMapRowsPer16Bit) {
+        const int r_end = std::min(h, r0 + kMapRowsPer16Bit);
+        __m256i acc = _mm256_setzero_si256();
+        for (int r = r0; r < r_end; ++r) {
+            const uint8_t *s = src + r * src_stride;
+            const uint8_t *p = ref + r * ref_stride;
+            for (int c = 0; c + 16 <= W; c += 16) {
+                const __m256i sv = _mm256_broadcastsi128_si256(
+                    _mm_loadu_si128(reinterpret_cast<const __m128i *>(s + c)));
+                const __m256i pair0 = loadRefPair(p + c);
+                const __m256i pair1 = loadRefPair(p + c + 8);
+                acc = _mm256_add_epi16(
+                    acc, _mm256_mpsadbw_epu8(pair0, sv, kMapGroup0));
+                acc = _mm256_add_epi16(
+                    acc, _mm256_mpsadbw_epu8(pair0, sv, kMapGroup1));
+                acc = _mm256_add_epi16(
+                    acc, _mm256_mpsadbw_epu8(pair1, sv, kMapGroup2));
+                acc = _mm256_add_epi16(
+                    acc, _mm256_mpsadbw_epu8(pair1, sv, kMapGroup3));
+            }
+            if constexpr (W % 16 == 8) {
+                constexpr int c = W - 8;
+                const __m256i sv = _mm256_broadcastq_epi64(_mm_loadl_epi64(
+                    reinterpret_cast<const __m128i *>(s + c)));
+                const __m256i pair0 = loadRefPair(p + c);
+                acc = _mm256_add_epi16(
+                    acc, _mm256_mpsadbw_epu8(pair0, sv, kMapGroup0));
+                acc = _mm256_add_epi16(
+                    acc, _mm256_mpsadbw_epu8(pair0, sv, kMapGroup1));
+            }
+        }
+        lo = _mm256_add_epi32(
+            lo, _mm256_cvtepu16_epi32(_mm256_castsi256_si128(acc)));
+        hi = _mm256_add_epi32(
+            hi, _mm256_cvtepu16_epi32(_mm256_extracti128_si256(acc, 1)));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i *>(out), lo);
+    _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + 8), hi);
+}
+
+/**
+ * SADs of a W x h block at the 8 reference offsets ref + 0 .. 7 (one
+ * 128-bit lane); reads reference columns 0 .. W + 7.
+ */
+template <int W>
+void
+sadMapRow8(const uint8_t *src, int src_stride, const uint8_t *ref,
+           int ref_stride, int h, uint32_t out[8])
+{
+    __m256i sums = _mm256_setzero_si256();
+    for (int r0 = 0; r0 < h; r0 += kMapRowsPer16Bit) {
+        const int r_end = std::min(h, r0 + kMapRowsPer16Bit);
+        __m128i acc = _mm_setzero_si128();
+        for (int r = r0; r < r_end; ++r) {
+            const uint8_t *s = src + r * src_stride;
+            const uint8_t *p = ref + r * ref_stride;
+            for (int c = 0; c + 16 <= W; c += 16) {
+                const __m128i sv =
+                    _mm_loadu_si128(reinterpret_cast<const __m128i *>(s + c));
+                const __m128i pair0 =
+                    _mm_loadu_si128(reinterpret_cast<const __m128i *>(p + c));
+                const __m128i pair1 = _mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(p + c + 8));
+                acc = _mm_add_epi16(acc, _mm_mpsadbw_epu8(pair0, sv, 0));
+                acc = _mm_add_epi16(acc, _mm_mpsadbw_epu8(pair0, sv, 5));
+                acc = _mm_add_epi16(acc, _mm_mpsadbw_epu8(pair1, sv, 2));
+                acc = _mm_add_epi16(acc, _mm_mpsadbw_epu8(pair1, sv, 7));
+            }
+            if constexpr (W % 16 == 8) {
+                constexpr int c = W - 8;
+                const __m128i sv = _mm_loadl_epi64(
+                    reinterpret_cast<const __m128i *>(s + c));
+                const __m128i pair0 =
+                    _mm_loadu_si128(reinterpret_cast<const __m128i *>(p + c));
+                acc = _mm_add_epi16(acc, _mm_mpsadbw_epu8(pair0, sv, 0));
+                acc = _mm_add_epi16(acc, _mm_mpsadbw_epu8(pair0, sv, 5));
+            }
+        }
+        sums = _mm256_add_epi32(sums, _mm256_cvtepu16_epi32(acc));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i *>(out), sums);
+}
+
+/**
+ * One map row: 16-offset groups at u = 0, 16, ... with the last one
+ * moved back to cols - 16 (overlapping its neighbour), or two 8-offset
+ * groups at 0 and cols - 8 when the row is narrower than 16.
+ */
+template <int W>
+void
+sadMapRows(const uint8_t *src, int src_stride, const uint8_t *ref,
+           int ref_stride, int h, int cols, int rows, uint32_t *out)
+{
+    for (int v = 0; v < rows; ++v) {
+        const uint8_t *row = ref + v * ref_stride;
+        uint32_t *o = out + v * cols;
+        if (cols >= 16) {
+            for (int u = 0;; u += 16) {
+                u = std::min(u, cols - 16);
+                sadMapRow16<W>(src, src_stride, row + u, ref_stride, h,
+                               o + u);
+                if (u + 16 == cols)
+                    break;
+            }
+        } else {
+            sadMapRow8<W>(src, src_stride, row, ref_stride, h, o);
+            if (cols > 8)
+                sadMapRow8<W>(src, src_stride, row + cols - 8, ref_stride,
+                              h, o + cols - 8);
+        }
+    }
+}
+
+void
+sadMapAvx2(const uint8_t *src, int src_stride, const uint8_t *ref,
+           int ref_stride, int w, int h, int cols, int rows, uint32_t *out)
+{
+    if (cols >= 8) {
+        switch (w) {
+          case 8:
+            return sadMapRows<8>(src, src_stride, ref, ref_stride, h, cols,
+                                 rows, out);
+          case 16:
+            return sadMapRows<16>(src, src_stride, ref, ref_stride, h,
+                                  cols, rows, out);
+          case 24:
+            return sadMapRows<24>(src, src_stride, ref, ref_stride, h,
+                                  cols, rows, out);
+          case 32:
+            return sadMapRows<32>(src, src_stride, ref, ref_stride, h,
+                                  cols, rows, out);
+          default:
+            break;
+        }
+    }
+    for (int v = 0; v < rows; ++v)
+        for (int u = 0; u < cols; ++u)
+            out[v * cols + u] = sadAvx2(src, src_stride,
+                                        ref + v * ref_stride + u,
+                                        ref_stride, w, h);
 }
 
 // ----- SATD --------------------------------------------------------
@@ -697,6 +881,7 @@ avx2Ops()
         t.isa = Isa::Avx2;
         t.sad = sadAvx2;
         t.satd = satdAvx2;
+        t.sadMap = sadMapAvx2;
         t.interpH = interpHAvx2;
         t.interpV = interpVAvx2;
         t.interpHV = interpHVAvx2;

@@ -44,6 +44,18 @@ sadScalar(const uint8_t *a, int a_stride, const uint8_t *b, int b_stride,
     return sum;
 }
 
+void
+sadMapScalar(const uint8_t *src, int src_stride, const uint8_t *ref,
+             int ref_stride, int w, int h, int cols, int rows,
+             uint32_t *out)
+{
+    for (int v = 0; v < rows; ++v)
+        for (int u = 0; u < cols; ++u)
+            out[v * cols + u] = sadScalar(src, src_stride,
+                                          ref + v * ref_stride + u,
+                                          ref_stride, w, h);
+}
+
 uint32_t
 satdScalar(const uint8_t *a, int a_stride, const uint8_t *b, int b_stride,
            int w, int h)
@@ -367,6 +379,7 @@ scalarOps()
         Isa::Scalar,
         sadScalar,
         satdScalar,
+        sadMapScalar,
         copy2dScalar,
         interpHScalar,
         interpVScalar,

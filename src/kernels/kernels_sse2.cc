@@ -136,6 +136,60 @@ sadSse2(const uint8_t *a, int a_stride, const uint8_t *b, int b_stride,
     return static_cast<uint32_t>(hsum64(acc)) + tail;
 }
 
+/**
+ * SSE2 has no multi-offset SAD, so the map is one psadbw SAD per
+ * offset; the source block is loaded once, 16 columns (or an 8-column
+ * tail) per vector, and reused at every offset.
+ */
+void
+sadMapSse2(const uint8_t *src, int src_stride, const uint8_t *ref,
+           int ref_stride, int w, int h, int cols, int rows, uint32_t *out)
+{
+    constexpr int kMaxSrcVectors = 64;  // a 32 x 32 block
+    const int per_row = w / 16 + (w % 16) / 8;
+    if (w % 8 != 0 || per_row * h > kMaxSrcVectors) {
+        for (int v = 0; v < rows; ++v)
+            for (int u = 0; u < cols; ++u)
+                out[v * cols + u] = sadSse2(src, src_stride,
+                                            ref + v * ref_stride + u,
+                                            ref_stride, w, h);
+        return;
+    }
+    __m128i block[kMaxSrcVectors];
+    int n = 0;
+    for (int r = 0; r < h; ++r) {
+        const uint8_t *s = src + r * src_stride;
+        int c = 0;
+        for (; c + 16 <= w; c += 16)
+            block[n++] =
+                _mm_loadu_si128(reinterpret_cast<const __m128i *>(s + c));
+        if (c < w)
+            block[n++] =
+                _mm_loadl_epi64(reinterpret_cast<const __m128i *>(s + c));
+    }
+    for (int v = 0; v < rows; ++v) {
+        for (int u = 0; u < cols; ++u) {
+            const uint8_t *p = ref + v * ref_stride + u;
+            __m128i acc = _mm_setzero_si128();
+            int i = 0;
+            for (int r = 0; r < h; ++r, p += ref_stride) {
+                int c = 0;
+                for (; c + 16 <= w; c += 16) {
+                    const __m128i vr = _mm_loadu_si128(
+                        reinterpret_cast<const __m128i *>(p + c));
+                    acc = _mm_add_epi64(acc, _mm_sad_epu8(block[i++], vr));
+                }
+                if (c < w) {
+                    const __m128i vr = _mm_loadl_epi64(
+                        reinterpret_cast<const __m128i *>(p + c));
+                    acc = _mm_add_epi64(acc, _mm_sad_epu8(block[i++], vr));
+                }
+            }
+            out[v * cols + u] = static_cast<uint32_t>(hsum64(acc));
+        }
+    }
+}
+
 uint32_t
 satdSse2(const uint8_t *a, int a_stride, const uint8_t *b, int b_stride,
          int w, int h)
@@ -684,6 +738,7 @@ sse2Ops()
         t.isa = Isa::Sse2;
         t.sad = sadSse2;
         t.satd = satdSse2;
+        t.sadMap = sadMapSse2;
         t.copy2d = copy2dSse2;
         t.interpH = interpHSse2;
         t.interpV = interpVSse2;

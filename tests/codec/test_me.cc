@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "codec/me.h"
+#include "kernels/kernel_ops.h"
 #include "uarch/probe.h"
 #include "video/rng.h"
 
@@ -295,6 +296,18 @@ class RecordingProbe : public uarch::UarchProbe
     }
 };
 
+/** Kernel ISA levels this host and build can run. */
+std::vector<kernels::Isa>
+availableIsas()
+{
+    std::vector<kernels::Isa> out;
+    for (const kernels::Isa isa :
+         {kernels::Isa::Scalar, kernels::Isa::Sse2, kernels::Isa::Avx2})
+        if (kernels::opsFor(isa) != nullptr)
+            out.push_back(isa);
+    return out;
+}
+
 /** What the plain raster scan reports, including its branch record. */
 struct RasterOutcome {
     MeResult result;
@@ -392,10 +405,12 @@ expectMatchesRasterScan(MeContext me)
 
 TEST(MotionSearch, FullSearchMatchesRasterScanExactly)
 {
-    // Noise planes give weak quadrant bounds (most SADs computed);
-    // shifted texture gives useful ones (most candidates eliminated). On
-    // a ramp every residual block has one sign, so the bound equals the
-    // SAD and candidates one cost unit apart meet at its edge.
+    // The search scans a SAD map from the active kernel table, and
+    // counts a whole row in one step when it cannot improve on the best:
+    // both must leave the raster scan's result and records unchanged at
+    // every ISA. Noise planes make most rows improvable only early on;
+    // shifted texture has one clear minimum; on a ramp every residual
+    // block has one sign and candidates one cost unit apart tie often.
     constexpr int kW = 96;
     constexpr int kH = 80;
     video::Rng rng(17);
@@ -418,47 +433,95 @@ TEST(MotionSearch, FullSearchMatchesRasterScanExactly)
         {&noise_cur, &noise}, {&texture_cur, &texture},
         {&ramp_cur, &ramp}};
 
-    for (const int bs : {8, 16, 32}) {
-        const int xs[] = {0, (kW - bs) / 2, kW - bs};
-        const int ys[] = {0, (kH - bs) / 2, kH - bs};
-        for (const int range : {4, 8, 12, 64}) {
-            for (const auto &[cur, ref] : planes) {
-                for (const int by : ys) {
-                    for (const int bx : xs) {
-                        // Predictors pulling the window against each
-                        // frame edge and corner, plus a nearby one.
-                        const MotionVector pulls[] = {
-                            {-512, 0}, {512, 0}, {0, -512}, {0, 512},
-                            {-512, -512}, {512, 512},
-                            {static_cast<int16_t>(rng.range(-20, 20)),
-                             static_cast<int16_t>(rng.range(-20, 20))}};
-                        for (const MotionVector pull : pulls) {
-                            MeContext me;
-                            me.src = cur;
-                            me.ref = ref;
-                            me.block_x = bx;
-                            me.block_y = by;
-                            me.block_w = bs;
-                            me.block_h = bs;
-                            me.pred = pull;
-                            me.has_seed = rng.below(2) == 0;
-                            me.seed = MotionVector{
-                                static_cast<int16_t>(rng.range(-30, 30)),
-                                static_cast<int16_t>(rng.range(-30, 30))};
-                            me.lambda =
-                                static_cast<double>(rng.below(4000)) / 100;
-                            me.range = range;
-                            SCOPED_TRACE(::testing::Message()
-                                         << "bs=" << bs << " range=" << range
-                                         << " block=(" << bx << "," << by
-                                         << ") pred=(" << pull.x << ","
-                                         << pull.y << ") lambda="
-                                         << me.lambda);
-                            expectMatchesRasterScan(me);
+    for (const kernels::Isa isa : availableIsas()) {
+        kernels::ScopedKernelIsa pin(isa);
+        for (const int bs : {8, 16, 32}) {
+            const int xs[] = {0, (kW - bs) / 2, kW - bs};
+            const int ys[] = {0, (kH - bs) / 2, kH - bs};
+            for (const int range : {4, 8, 12, 64}) {
+                for (const auto &[cur, ref] : planes) {
+                    for (const int by : ys) {
+                        for (const int bx : xs) {
+                            // Predictors pulling the window against each
+                            // frame edge and corner, plus a nearby one.
+                            const MotionVector pulls[] = {
+                                {-512, 0}, {512, 0}, {0, -512}, {0, 512},
+                                {-512, -512}, {512, 512},
+                                {static_cast<int16_t>(rng.range(-20, 20)),
+                                 static_cast<int16_t>(rng.range(-20, 20))}};
+                            for (const MotionVector pull : pulls) {
+                                MeContext me;
+                                me.src = cur;
+                                me.ref = ref;
+                                me.block_x = bx;
+                                me.block_y = by;
+                                me.block_w = bs;
+                                me.block_h = bs;
+                                me.pred = pull;
+                                me.has_seed = rng.below(2) == 0;
+                                me.seed = MotionVector{
+                                    static_cast<int16_t>(rng.range(-30, 30)),
+                                    static_cast<int16_t>(rng.range(-30, 30))};
+                                me.lambda =
+                                    static_cast<double>(rng.below(4000)) / 100;
+                                me.range = range;
+                                SCOPED_TRACE(::testing::Message()
+                                             << kernels::isaName(isa)
+                                             << " bs=" << bs
+                                             << " range=" << range
+                                             << " block=(" << bx << ","
+                                             << by << ") pred=(" << pull.x
+                                             << "," << pull.y
+                                             << ") lambda=" << me.lambda);
+                                expectMatchesRasterScan(me);
+                            }
                         }
                     }
                 }
             }
+        }
+    }
+}
+
+TEST(MotionSearch, FullSearchCountsRowsHoldingTheBest)
+{
+    // A row that cannot improve is counted in one step, one position
+    // short when the current best lies in it. On a flat frame every SAD
+    // is 0, so the zero-MV seed stays best and sits in the window's
+    // middle row, whose cheapest cost equals the best's. A seed that
+    // matches exactly, far outside the window, stays best too; the row
+    // through it holds no visited position equal to it.
+    video::Rng rng(23);
+    const Plane flat(96, 80, 90);
+    const RefPlane flat_ref(flat);
+    Plane noise_ref(96, 80);
+    for (int y = 0; y < 80; ++y)
+        for (int x = 0; x < 96; ++x)
+            noise_ref.at(x, y) = static_cast<uint8_t>(rng.below(256));
+    const Plane noise_cur = shifted(noise_ref, -20, 0);  // MV (+20, 0)
+    const RefPlane noise(noise_ref);
+
+    for (const kernels::Isa isa : availableIsas()) {
+        kernels::ScopedKernelIsa pin(isa);
+        for (const int range : {1, 4, 12}) {
+            SCOPED_TRACE(::testing::Message() << kernels::isaName(isa)
+                                              << " range=" << range);
+            MeContext me;
+            me.src = &flat;
+            me.ref = &flat_ref;
+            me.block_x = 40;
+            me.block_y = 32;
+            me.lambda = 3.0;
+            me.range = range;
+            expectMatchesRasterScan(me);
+
+            me.src = &noise_cur;
+            me.ref = &noise;
+            me.block_x = 24;
+            me.lambda = 1.0;
+            me.has_seed = true;
+            me.seed = MotionVector{40, 0};
+            expectMatchesRasterScan(me);
         }
     }
 }
