@@ -1,5 +1,8 @@
 #include "ngc/ngc_intra.h"
 
+#include <cassert>
+#include <cstring>
+
 #include "codec/types.h"
 
 namespace vbench::ngc {
@@ -24,95 +27,131 @@ ngcIntraAvailable(NgcIntraMode mode, int x, int y, int slice_top)
     return false;
 }
 
+namespace {
+
+/**
+ * out[i] = recon.atClamped(x + i, y) for i < count: one row of edge
+ * samples, each coordinate clamped into the plane as atClamped does.
+ */
 void
-ngcIntraPredict(NgcIntraMode mode, const video::Plane &recon, int x, int y,
-                int n, uint8_t *out, int slice_top)
+clampedRow(const video::Plane &recon, int x, int y, int count, uint8_t *out)
 {
-    const bool has_top = y > slice_top;
-    const bool has_left = x > 0;
+    const uint8_t *row =
+        recon.row(codec::clampInt(y, 0, recon.height() - 1));
+    for (int i = 0; i < count; ++i)
+        out[i] = row[codec::clampInt(x + i, 0, recon.width() - 1)];
+}
+
+/**
+ * The 2N - 1 samples of a 1-2-1 filtered edge of 2N + 1 samples:
+ * out[i] = (e[i] + 2 e[i + 1] + e[i + 2] + 2) >> 2.
+ */
+template <int N>
+void
+smooth121(const uint8_t (&e)[2 * N + 1], uint8_t (&out)[2 * N - 1])
+{
+    for (int i = 0; i < 2 * N - 1; ++i)
+        out[i] = static_cast<uint8_t>((e[i] + 2 * e[i + 1] + e[i + 2] + 2) >>
+                                      2);
+}
+
+template <int N>
+void
+predict(NgcIntraMode mode, const video::Plane &recon, int x, int y,
+        bool has_top, bool has_left, uint8_t *out)
+{
+    // The neighbours' rows; only dereferenced where the mode's
+    // availability guarantees them.
+    const uint8_t *top = has_top ? recon.row(y - 1) + x : nullptr;
+    const auto left = [&](int r) { return recon.row(y + r)[x - 1]; };
 
     switch (mode) {
       case NgcIntraMode::Dc: {
         int sum = 0;
         int count = 0;
         if (has_top) {
-            for (int i = 0; i < n; ++i)
-                sum += recon.at(x + i, y - 1);
-            count += n;
+            for (int i = 0; i < N; ++i)
+                sum += top[i];
+            count += N;
         }
         if (has_left) {
-            for (int i = 0; i < n; ++i)
-                sum += recon.at(x - 1, y + i);
-            count += n;
+            for (int i = 0; i < N; ++i)
+                sum += left(i);
+            count += N;
         }
         const uint8_t dc = count > 0
             ? static_cast<uint8_t>((sum + count / 2) / count)
             : 128;
-        for (int i = 0; i < n * n; ++i)
-            out[i] = dc;
+        std::memset(out, dc, N * N);
         break;
       }
       case NgcIntraMode::Vertical:
-        for (int r = 0; r < n; ++r)
-            for (int c = 0; c < n; ++c)
-                out[r * n + c] = recon.at(x + c, y - 1);
+        for (int r = 0; r < N; ++r)
+            std::memcpy(out + r * N, top, N);
         break;
       case NgcIntraMode::Horizontal:
-        for (int r = 0; r < n; ++r) {
-            const uint8_t v = recon.at(x - 1, y + r);
-            for (int c = 0; c < n; ++c)
-                out[r * n + c] = v;
-        }
+        for (int r = 0; r < N; ++r)
+            std::memset(out + r * N, left(r), N);
         break;
       case NgcIntraMode::TrueMotion: {
-        const int corner = recon.at(x - 1, y - 1);
-        for (int r = 0; r < n; ++r) {
-            const int base = recon.at(x - 1, y + r) - corner;
-            for (int c = 0; c < n; ++c)
-                out[r * n + c] = clampPixel(base + recon.at(x + c, y - 1));
+        const int corner = top[-1];
+        for (int r = 0; r < N; ++r) {
+            const int base = left(r) - corner;
+            for (int c = 0; c < N; ++c)
+                out[r * N + c] = clampPixel(base + top[c]);
         }
         break;
       }
-      case NgcIntraMode::DiagDownLeft:
+      case NgcIntraMode::DiagDownLeft: {
         // 45 degrees from the top row extended right (clamped at the
-        // plane edge), smoothed by a 1-2-1 filter.
-        for (int r = 0; r < n; ++r) {
-            for (int c = 0; c < n; ++c) {
-                const int i = c + r;
-                const int a = recon.atClamped(x + i, y - 1);
-                const int b = recon.atClamped(x + i + 1, y - 1);
-                const int d = recon.atClamped(x + i + 2, y - 1);
-                out[r * n + c] =
-                    static_cast<uint8_t>((a + 2 * b + d + 2) >> 2);
-            }
-        }
+        // plane edge), smoothed by a 1-2-1 filter: row r is the
+        // filtered edge from sample r on.
+        uint8_t edge[2 * N + 1];
+        uint8_t filtered[2 * N - 1];
+        clampedRow(recon, x, y - 1, 2 * N + 1, edge);
+        smooth121<N>(edge, filtered);
+        for (int r = 0; r < N; ++r)
+            std::memcpy(out + r * N, filtered + r, N);
         break;
-      case NgcIntraMode::DiagDownRight:
-        // 45 degrees from the top-left corner: sample along the
-        // diagonal through left column, corner, and top row.
-        for (int r = 0; r < n; ++r) {
-            for (int c = 0; c < n; ++c) {
-                const int d = c - r;
-                int a, b, e;
-                if (d > 0) {
-                    a = recon.atClamped(x + d - 2, y - 1);
-                    b = recon.atClamped(x + d - 1, y - 1);
-                    e = recon.atClamped(x + d, y - 1);
-                } else if (d < 0) {
-                    a = recon.atClamped(x - 1, y - d - 2);
-                    b = recon.atClamped(x - 1, y - d - 1);
-                    e = recon.atClamped(x - 1, y - d);
-                } else {
-                    a = recon.atClamped(x, y - 1);
-                    b = recon.atClamped(x - 1, y - 1);
-                    e = recon.atClamped(x - 1, y);
-                }
-                out[r * n + c] =
-                    static_cast<uint8_t>((a + 2 * b + e + 2) >> 2);
-            }
-        }
+      }
+      case NgcIntraMode::DiagDownRight: {
+        // 45 degrees from the top-left corner: one edge runs up the
+        // left column (bottom sample first), through the corner and
+        // along the top row, and is smoothed by a 1-2-1 filter. Sample
+        // (r, c) lies on diagonal c - r, so row r is the filtered edge
+        // from sample N - 1 - r on.
+        uint8_t edge[2 * N + 1];
+        uint8_t filtered[2 * N - 1];
+        for (int i = 0; i < N; ++i)
+            edge[i] = recon.atClamped(x - 1, y + N - 1 - i);
+        clampedRow(recon, x - 1, y - 1, N + 1, edge + N);
+        smooth121<N>(edge, filtered);
+        for (int r = 0; r < N; ++r)
+            std::memcpy(out + r * N, filtered + N - 1 - r, N);
         break;
+      }
     }
+}
+
+} // namespace
+
+void
+ngcIntraPredict(NgcIntraMode mode, const video::Plane &recon, int x, int y,
+                int n, uint8_t *out, int slice_top)
+{
+    const bool has_top = y > slice_top;
+    const bool has_left = x > 0;
+    switch (n) {
+      case 4:
+        return predict<4>(mode, recon, x, y, has_top, has_left, out);
+      case 8:
+        return predict<8>(mode, recon, x, y, has_top, has_left, out);
+      case 16:
+        return predict<16>(mode, recon, x, y, has_top, has_left, out);
+      case 32:
+        return predict<32>(mode, recon, x, y, has_top, has_left, out);
+    }
+    assert(false && "NGC intra blocks are 4, 8, 16 or 32 samples wide");
 }
 
 void
