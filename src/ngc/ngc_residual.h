@@ -125,8 +125,8 @@ writeCuLevels(codec::SyntaxWriter &writer, int size, const int16_t *levels)
 
 /**
  * Parse a coded CU's levels.
- * @return the nonzero levels of its 8x8 TUs (a 4x4 chroma block's are
- *         not counted), or -1 on corrupt syntax.
+ * @return the CU's nonzero levels, its 4x4 chroma blocks' included (the
+ *         count the encoder codes the CU with), or -1 on corrupt syntax.
  */
 inline int
 readCuLevels(codec::SyntaxReader &reader, int size, int16_t *levels)
@@ -142,8 +142,10 @@ readCuLevels(codec::SyntaxReader &reader, int size, int16_t *levels)
     }
     for (int plane = 0; plane < 2; ++plane) {
         if (ctus == 0) {
-            if (codec::readResidualBlock(reader, levels, false) < 0)
+            const int n = codec::readResidualBlock(reader, levels, false);
+            if (n < 0)
                 return -1;
+            nonzero += n;
             levels += 16;
         }
         for (int t = 0; t < ctus * ctus; ++t, levels += kTuLevels) {

@@ -107,5 +107,31 @@ TEST(NgcResidual, NonzeroAcPositionZeroRejected)
     EXPECT_EQ(readTu8(reader, dc, ac, true), -1);
 }
 
+TEST(NgcResidual, Cu8ChromaLevelsCountTowardTheCu)
+{
+    // A CU8 carries one 4x4 block per chroma plane. When those are its
+    // only nonzero levels the CU is still coded, and the count the
+    // parse returns (which decides the deblocking strength) must be the
+    // one written.
+    int16_t levels[kMaxCuLevels] = {};
+    ASSERT_EQ(cuLevelCount(8), kTuLevels + 2 * 16);
+    int16_t *u = levels + kTuLevels;
+    int16_t *v = u + 16;
+    u[0] = 3;
+    u[5] = -1;
+    v[15] = 2;
+    ByteBuffer buf;
+    {
+        ArithSyntaxWriter writer(buf, nctx::kNumContexts);
+        writeCuLevels(writer, 8, levels);
+        writer.finish();
+    }
+    ArithSyntaxReader reader(buf.data(), buf.size(), nctx::kNumContexts);
+    int16_t parsed[kMaxCuLevels];
+    EXPECT_EQ(readCuLevels(reader, 8, parsed), 3);
+    for (int i = 0; i < cuLevelCount(8); ++i)
+        ASSERT_EQ(parsed[i], levels[i]) << "level " << i;
+}
+
 } // namespace
 } // namespace vbench::ngc
