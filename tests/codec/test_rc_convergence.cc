@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "codec/decoder.h"
 #include "codec/encoder.h"
 #include "metrics/rates.h"
@@ -15,11 +17,28 @@
 namespace vbench::codec {
 namespace {
 
+/**
+ * gtest names each case after the raw bytes of its parameter, so the
+ * bytes after the one-byte `mode` and after `content` are zeroed
+ * members rather than implicit padding: uninitialized padding gave the
+ * cases a different name from run to run.
+ */
 struct RcCase {
+    RcCase(RcMode m, double b, video::ContentClass c)
+        : mode(m), bpps(b), content(c)
+    {
+    }
     RcMode mode;
+    uint8_t zero[7] = {};
     double bpps;  ///< target in bits/pixel/s
     video::ContentClass content;
+    uint8_t zero_tail[4] = {};
 };
+// A double has no unique object representation, so "no padding" is
+// checked as the members' sizes adding up to the whole.
+static_assert(sizeof(RcCase) == sizeof(RcMode) + 7 + sizeof(double) +
+                                    sizeof(video::ContentClass) + 4,
+              "RcCase must have no padding bytes");
 
 class RcSweep : public ::testing::TestWithParam<RcCase>
 {
