@@ -255,52 +255,70 @@ sadMapRow16(const uint8_t *src, int src_stride, const uint8_t *ref,
 }
 
 /**
- * SADs of a W x h block at the 8 reference offsets ref + 0 .. 7 (one
- * 128-bit lane); reads reference columns 0 .. W + 7.
+ * SADs of a W x h block at the 8 reference offsets ref + 0 .. 7; reads
+ * reference columns 0 .. W + 7. Each call scores two block rows, one
+ * per 128-bit lane, and the lanes are added when widened. h is even.
  */
 template <int W>
 void
 sadMapRow8(const uint8_t *src, int src_stride, const uint8_t *ref,
            int ref_stride, int h, uint32_t out[8])
 {
+    const auto lanes = [](const uint8_t *p, int stride) {
+        return _mm256_inserti128_si256(
+            _mm256_castsi128_si256(
+                _mm_loadu_si128(reinterpret_cast<const __m128i *>(p))),
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(p + stride)),
+            1);
+    };
     __m256i sums = _mm256_setzero_si256();
-    for (int r0 = 0; r0 < h; r0 += kMapRowsPer16Bit) {
-        const int r_end = std::min(h, r0 + kMapRowsPer16Bit);
-        __m128i acc = _mm_setzero_si128();
-        for (int r = r0; r < r_end; ++r) {
+    for (int r0 = 0; r0 < h; r0 += 2 * kMapRowsPer16Bit) {
+        const int r_end = std::min(h, r0 + 2 * kMapRowsPer16Bit);
+        __m256i acc = _mm256_setzero_si256();
+        for (int r = r0; r < r_end; r += 2) {
             const uint8_t *s = src + r * src_stride;
             const uint8_t *p = ref + r * ref_stride;
             for (int c = 0; c + 16 <= W; c += 16) {
-                const __m128i sv =
-                    _mm_loadu_si128(reinterpret_cast<const __m128i *>(s + c));
-                const __m128i pair0 =
-                    _mm_loadu_si128(reinterpret_cast<const __m128i *>(p + c));
-                const __m128i pair1 = _mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(p + c + 8));
-                acc = _mm_add_epi16(acc, _mm_mpsadbw_epu8(pair0, sv, 0));
-                acc = _mm_add_epi16(acc, _mm_mpsadbw_epu8(pair0, sv, 5));
-                acc = _mm_add_epi16(acc, _mm_mpsadbw_epu8(pair1, sv, 2));
-                acc = _mm_add_epi16(acc, _mm_mpsadbw_epu8(pair1, sv, 7));
+                const __m256i sv = lanes(s + c, src_stride);
+                const __m256i pair0 = lanes(p + c, ref_stride);
+                const __m256i pair1 = lanes(p + c + 8, ref_stride);
+                acc = _mm256_add_epi16(
+                    acc, _mm256_mpsadbw_epu8(pair0, sv, kMapGroup0));
+                acc = _mm256_add_epi16(
+                    acc, _mm256_mpsadbw_epu8(pair0, sv, kMapGroup1));
+                acc = _mm256_add_epi16(
+                    acc, _mm256_mpsadbw_epu8(pair1, sv, kMapGroup2));
+                acc = _mm256_add_epi16(
+                    acc, _mm256_mpsadbw_epu8(pair1, sv, kMapGroup3));
             }
             if constexpr (W % 16 == 8) {
                 constexpr int c = W - 8;
-                const __m128i sv = _mm_loadl_epi64(
-                    reinterpret_cast<const __m128i *>(s + c));
-                const __m128i pair0 =
-                    _mm_loadu_si128(reinterpret_cast<const __m128i *>(p + c));
-                acc = _mm_add_epi16(acc, _mm_mpsadbw_epu8(pair0, sv, 0));
-                acc = _mm_add_epi16(acc, _mm_mpsadbw_epu8(pair0, sv, 5));
+                const __m256i sv = _mm256_inserti128_si256(
+                    _mm256_castsi128_si256(_mm_loadl_epi64(
+                        reinterpret_cast<const __m128i *>(s + c))),
+                    _mm_loadl_epi64(reinterpret_cast<const __m128i *>(
+                        s + c + src_stride)),
+                    1);
+                const __m256i pair0 = lanes(p + c, ref_stride);
+                acc = _mm256_add_epi16(
+                    acc, _mm256_mpsadbw_epu8(pair0, sv, kMapGroup0));
+                acc = _mm256_add_epi16(
+                    acc, _mm256_mpsadbw_epu8(pair0, sv, kMapGroup1));
             }
         }
-        sums = _mm256_add_epi32(sums, _mm256_cvtepu16_epi32(acc));
+        sums = _mm256_add_epi32(
+            sums, _mm256_cvtepu16_epi32(_mm256_castsi256_si128(acc)));
+        sums = _mm256_add_epi32(
+            sums, _mm256_cvtepu16_epi32(_mm256_extracti128_si256(acc, 1)));
     }
     _mm256_storeu_si256(reinterpret_cast<__m256i *>(out), sums);
 }
 
 /**
- * One map row: 16-offset groups at u = 0, 16, ... with the last one
- * moved back to cols - 16 (overlapping its neighbour), or two 8-offset
- * groups at 0 and cols - 8 when the row is narrower than 16.
+ * The map, row by row: 16-offset groups at u = 0, 16, ... with the
+ * last one moved back to cols - 16 (overlapping its neighbour), or,
+ * when a row is narrower than 16, two 8-offset groups at 0 and
+ * cols - 8 (those need an even h).
  */
 template <int W>
 void
@@ -331,7 +349,7 @@ void
 sadMapAvx2(const uint8_t *src, int src_stride, const uint8_t *ref,
            int ref_stride, int w, int h, int cols, int rows, uint32_t *out)
 {
-    if (cols >= 8) {
+    if (cols >= 16 || (cols >= 8 && h % 2 == 0)) {
         switch (w) {
           case 8:
             return sadMapRows<8>(src, src_stride, ref, ref_stride, h, cols,

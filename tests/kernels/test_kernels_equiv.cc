@@ -80,59 +80,65 @@ TEST(KernelsEquiv, SadMap)
     // Window widths and heights covering every path of the vector
     // maps: below 8 (one SAD per offset), 8-15 (two overlapping
     // 8-offset groups), 16, 17, 25 and 129 (16-offset groups, the last
-    // one overlapping). Block sizes are those the codecs search plus a
-    // width the vector maps leave to the per-offset fallback. Each
-    // buffer ends exactly where the kernel_ops.h read contract ends,
-    // so an ASan build reports any read past it.
+    // one overlapping). Block shapes are the square ones the codecs
+    // search, a width the vector maps leave to the per-offset fallback,
+    // and odd heights (which the 8-offset groups also leave to it).
+    // Each buffer ends exactly where the kernel_ops.h read contract
+    // ends, so an ASan build reports any read past it.
     constexpr int kSpans[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
                               14, 15, 16, 17, 25, 129};
+    constexpr int kShapes[][2] = {{8, 8}, {16, 16}, {32, 32}, {12, 12},
+                                  {16, 9}, {8, 3}};
     Rng rng(20);
     const KernelOps &ref = *scalarOps();
-    for (const int bs : {8, 16, 32, 12}) {
+    for (const auto &[w, h] : kShapes) {
         for (const int cols : kSpans) {
             for (const int rows : kSpans) {
-                const int src_stride = bs + static_cast<int>(rng.below(9));
+                const int src_stride = w + static_cast<int>(rng.below(9));
                 const int ref_stride =
-                    cols + bs + static_cast<int>(rng.below(9));
+                    cols + w + static_cast<int>(rng.below(9));
                 const auto src = randomBytes(
-                    rng, static_cast<size_t>(src_stride) * (bs - 1) + bs);
+                    rng, static_cast<size_t>(src_stride) * (h - 1) + w);
                 const auto window = randomBytes(
-                    rng, static_cast<size_t>(ref_stride) * (rows + bs - 2) +
-                             cols + bs);
+                    rng, static_cast<size_t>(ref_stride) * (rows + h - 2) +
+                             cols + w);
                 std::vector<uint32_t> want(static_cast<size_t>(cols) * rows);
                 ref.sadMap(src.data(), src_stride, window.data(),
-                           ref_stride, bs, bs, cols, rows, want.data());
+                           ref_stride, w, h, cols, rows, want.data());
                 for (const KernelOps *vec : vectorBackends()) {
                     std::vector<uint32_t> got(want.size());
                     vec->sadMap(src.data(), src_stride, window.data(),
-                                ref_stride, bs, bs, cols, rows, got.data());
-                    EXPECT_EQ(want, got) << vec->name << " bs=" << bs
-                                         << " cols=" << cols
-                                         << " rows=" << rows;
+                                ref_stride, w, h, cols, rows, got.data());
+                    EXPECT_EQ(want, got)
+                        << vec->name << " " << w << "x" << h
+                        << " cols=" << cols << " rows=" << rows;
                 }
             }
         }
     }
 
-    // All-0 against all-255 at 32x32, either way round: every SAD is
-    // 32 * 32 * 255, the largest the 16-bit partial sums must carry.
+    // All-0 against all-255 at 32x32, either way round, through both
+    // group widths: every SAD is 32 * 32 * 255, and the 16-bit partial
+    // sums carry the most they ever must.
+    const int rows = 17;
+    std::vector<const KernelOps *> tables = vectorBackends();
+    tables.push_back(&ref);
     for (const bool src_white : {false, true}) {
-        const int cols = 25;
-        const int rows = 17;
-        const int ref_stride = cols + 32;
-        const std::vector<uint8_t> src(32 * 32, src_white ? 255 : 0);
-        const std::vector<uint8_t> window(
-            static_cast<size_t>(ref_stride) * (rows + 30) + cols + 32,
-            src_white ? 0 : 255);
-        const std::vector<uint32_t> want(static_cast<size_t>(cols) * rows,
-                                         32u * 32u * 255u);
-        std::vector<const KernelOps *> tables = vectorBackends();
-        tables.push_back(&ref);
-        for (const KernelOps *k : tables) {
-            std::vector<uint32_t> got(want.size());
-            k->sadMap(src.data(), 32, window.data(), ref_stride, 32, 32,
-                      cols, rows, got.data());
-            EXPECT_EQ(want, got) << k->name << " src_white=" << src_white;
+        for (const int cols : {25, 13}) {
+            const int ref_stride = cols + 32;
+            const std::vector<uint8_t> src(32 * 32, src_white ? 255 : 0);
+            const std::vector<uint8_t> window(
+                static_cast<size_t>(ref_stride) * (rows + 30) + cols + 32,
+                src_white ? 0 : 255);
+            const std::vector<uint32_t> want(
+                static_cast<size_t>(cols) * rows, 32u * 32u * 255u);
+            for (const KernelOps *k : tables) {
+                std::vector<uint32_t> got(want.size());
+                k->sadMap(src.data(), 32, window.data(), ref_stride, 32, 32,
+                          cols, rows, got.data());
+                EXPECT_EQ(want, got) << k->name << " src_white=" << src_white
+                                     << " cols=" << cols;
+            }
         }
     }
 }
