@@ -225,7 +225,7 @@ fullSearch(SearchState &state)
     const int y1 = clampInt(cy + ctx.range, state.min_my, state.max_my);
     const int columns = x1 - x0 + 1;
     const int rows = y1 - y0 + 1;
-    const bool row_clamped =
+    const bool columns_clamped =
         cx - ctx.range < state.min_mx || cx + ctx.range > state.max_mx;
 
     // Scratch: the SAD map, then each column's MV bits, then one row of
@@ -275,7 +275,7 @@ fullSearch(SearchState &state)
             costs[u] = sads[u] + row_rate[column_bits[u]];
             cheapest = std::min(cheapest, costs[u]);
         }
-        if (!row_clamped && cheapest >= state.best_cost) {
+        if (!columns_clamped && cheapest >= state.best_cost) {
             const bool best_in_row = state.best.y == 2 * y &&
                 state.best.x >= 2 * x0 && state.best.x <= 2 * x1;
             state.countRejected(static_cast<uint32_t>(columns) -

@@ -5,7 +5,8 @@
  * dispatcher stops at SSE2.
  *
  * Overrides only the kernels that benefit from 256-bit lanes: SAD (row
- * pairing keeps 16-wide macroblocks on full-width psadbw), SATD (four
+ * pairing keeps 16-wide macroblocks on full-width psadbw), the SAD map
+ * (mpsadbw scores 16 search offsets per call), SATD (four
  * 4x4 Hadamard blocks per 256-bit strip in 16-bit lanes), the 8x8
  * transform pair (two 4x4 sub-blocks ride in the two 128-bit lanes),
  * quant/dequant, interpolation, residual diff/reconstruction, and the
@@ -257,7 +258,8 @@ sadMapRow16(const uint8_t *src, int src_stride, const uint8_t *ref,
 /**
  * SADs of a W x h block at the 8 reference offsets ref + 0 .. 7; reads
  * reference columns 0 .. W + 7. Each call scores two block rows, one
- * per 128-bit lane, and the lanes are added when widened. h is even.
+ * per 128-bit lane, and the lanes are added when widened, so each lane
+ * still sums at most kMapRowsPer16Bit rows in 16 bits. h is even.
  */
 template <int W>
 void

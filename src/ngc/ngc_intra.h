@@ -2,10 +2,25 @@
 
 /**
  * @file
- * NGC intra prediction: six predictors over arbitrary power-of-two
- * block sizes (8..32), including two 45-degree angular modes that VBC
- * lacks. Neighbors are read from the reconstructed plane with
- * availability-aware clamping, identically on both sides.
+ * NGC intra prediction: six predictors over square blocks of 4, 8, 16
+ * or 32 samples (the CU sizes and their chroma), including two
+ * 45-degree angular modes that VBC lacks. Neighbors are read from the
+ * reconstructed plane with availability-aware clamping, identically on
+ * both sides.
+ *
+ * A prediction reads its edge samples once and fills whole rows. DC,
+ * V, H and TM read the top row and the left column in place. The
+ * diagonal modes gather an edge array of 2n + 1 samples and filter it
+ * (1-2-1) into 2n - 1 samples, one per diagonal:
+ * - DDL: the top row from the block's first column on, extended n + 1
+ *   samples past the block; row r of the prediction is the filtered
+ *   array from sample r on.
+ * - DDR: the left column bottom-up, then the top-left corner, then the
+ *   top row; row r is the filtered array from sample n - 1 - r on.
+ *
+ * Edge samples outside the plane are clamped exactly as
+ * Plane::atClamped clamps them, so each predicted sample is the same
+ * formula as a per-pixel loop over atClamped reads.
  */
 
 #include <cstdint>
@@ -17,7 +32,8 @@
 namespace vbench::ngc {
 
 /**
- * Generate an n x n prediction for the block at (x, y).
+ * Generate an n x n prediction for the block at (x, y); n is 4, 8, 16
+ * or 32.
  *
  * @param mode predictor; must satisfy ngcIntraAvailable(mode, x, y,
  *        slice_top).
