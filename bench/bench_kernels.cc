@@ -14,7 +14,9 @@
  *             the exhaustive search runs at block sizes 8, 16 and 32
  *             and the SATD sub-pel/intra paths are covered) under the
  *             dispatch-selected ISA and print stream bytes, a stream
- *             hash, and quality scores — byte-identical output across
+ *             hash, and the quality scores of the decoded VBC and NGC
+ *             speed-1 streams (so both decoders' deblocking and
+ *             reconstruction run too) — byte-identical output across
  *             VBENCH_ISA settings by construction.
  */
 
@@ -32,6 +34,7 @@
 #include "kernels/kernel_ops.h"
 #include "metrics/psnr.h"
 #include "metrics/ssim.h"
+#include "ngc/ngc_decoder.h"
 #include "ngc/ngc_encoder.h"
 #include "video/rng.h"
 #include "video/synth.h"
@@ -66,6 +69,7 @@ struct BenchData {
     int32_t coefs16[16];
     int32_t coefs64[64];
     int16_t levels16[16];
+    int16_t levels256[256];  ///< a 16x16 block's quantBlock levels
     uint32_t offsets[64];
 
     BenchData()
@@ -90,6 +94,9 @@ struct BenchData {
         for (auto &o : offsets)
             o = static_cast<uint32_t>(
                 rng.below(static_cast<uint64_t>(stride) * (height - 24)));
+        kernels::scalarOps()->quantBlock(plane_a.data(), stride,
+                                         plane_b.data(), stride, 16, 30,
+                                         false, levels256);
     }
 };
 
@@ -253,6 +260,38 @@ kernelBenches()
                                               (i & 31) * 16 + 16,
                                           d.stride, 16, 40, 10, 4);
                        g_sink = g_sink + buf[8 * d.stride + 16];
+                   }});
+    out.push_back({"deblock_edge_v16", [](const KernelOps &k,
+                                          const BenchData &d, long iters) {
+                       std::vector<uint8_t> buf = d.plane_a;
+                       for (long i = 0; i < iters; ++i)
+                           k.deblockEdgeV(buf.data() + 8 * d.stride +
+                                              (i & 31) * 16 + 16,
+                                          d.stride, 16, 40, 10, 4);
+                       g_sink = g_sink + buf[8 * d.stride + 16];
+                   }});
+    out.push_back({"quant_block16", [](const KernelOps &k,
+                                       const BenchData &d, long iters) {
+                       int16_t levels[256];
+                       uint64_t acc = 0;
+                       for (long i = 0; i < iters; ++i) {
+                           const uint32_t o = d.offsets[i & 63];
+                           acc += static_cast<uint64_t>(k.quantBlock(
+                               d.plane_a.data() + o, d.stride,
+                               d.plane_b.data() + o, d.stride, 16, 30,
+                               false, levels));
+                       }
+                       g_sink = g_sink + acc;
+                   }});
+    out.push_back({"recon_block16", [](const KernelOps &k,
+                                       const BenchData &d, long iters) {
+                       uint8_t dst[256];
+                       uint64_t acc = 0;
+                       for (long i = 0; i < iters; ++i)
+                           acc += static_cast<uint64_t>(k.reconBlock(
+                               d.plane_a.data() + d.offsets[i & 63],
+                               d.stride, d.levels256, 16, 30, dst, 16));
+                       g_sink = g_sink + acc + dst[0];
                    }});
     out.push_back({"sse8_64k", [](const KernelOps &k, const BenchData &d,
                                   long iters) {
@@ -425,6 +464,17 @@ runDigest()
     }
     std::printf("ngc-vp9-s0 bytes=%zu hash=%016llx\n", vp9.size(),
                 static_cast<unsigned long long>(fnv1a(vp9)));
+
+    // The NGC speed-1 stream decoded: its deblocking and 4x4 chroma
+    // reconstruction, which the VBC decode above does not reach.
+    const auto ngc_decoded = ngc::ngcDecode(d.ngc);
+    if (!ngc_decoded) {
+        std::fprintf(stderr, "digest: NGC stream did not decode\n");
+        return 1;
+    }
+    std::printf("ngc psnr=%.12f ssim=%.12f\n",
+                metrics::videoPsnr(clip, *ngc_decoded),
+                metrics::videoSsim(clip, *ngc_decoded));
     return 0;
 }
 
@@ -517,6 +567,40 @@ runSmoke()
             scalar->invTx4x4(d2, r2);
             check(std::memcmp(r1, r2, sizeof(r1)) == 0, k->name,
                   "invTx4x4");
+
+            // The block kernels, on a random n x n block of a and b.
+            const int n = 4 << rng.below(3);
+            const int qp = static_cast<int>(rng.below(52));
+            const bool intra = rng.below(2) != 0;
+            const int bstride = n + static_cast<int>(rng.below(9));
+            std::vector<uint8_t> src(static_cast<size_t>(bstride) * n);
+            std::vector<uint8_t> pred(src.size());
+            for (size_t i = 0; i < src.size(); ++i) {
+                src[i] = static_cast<uint8_t>(rng.below(256));
+                pred[i] = static_cast<uint8_t>(rng.below(256));
+            }
+            std::vector<int16_t> lv1(static_cast<size_t>(n) * n);
+            std::vector<int16_t> lv2(lv1.size());
+            const int q1 = k->quantBlock(src.data(), bstride, pred.data(),
+                                         bstride, n, qp, intra, lv1.data());
+            const int q2 = scalar->quantBlock(src.data(), bstride,
+                                              pred.data(), bstride, n, qp,
+                                              intra, lv2.data());
+            check(q1 == q2 && lv1 == lv2, k->name, "quantBlock");
+            std::vector<uint8_t> rec1(src.size()), rec2(src.size());
+            const int c1n = k->reconBlock(pred.data(), bstride, lv2.data(),
+                                          n, qp, rec1.data(), bstride);
+            const int c2n = scalar->reconBlock(pred.data(), bstride,
+                                               lv2.data(), n, qp,
+                                               rec2.data(), bstride);
+            check(c1n == c2n && rec1 == rec2, k->name, "reconBlock");
+            std::vector<uint8_t> e1 = src, e2 = src;
+            const int alpha = 1 + static_cast<int>(rng.below(255));
+            const int beta = 1 + static_cast<int>(rng.below(18));
+            const int tc = 1 + static_cast<int>(rng.below(9));
+            k->deblockEdgeV(e1.data() + 2, bstride, n, alpha, beta, tc);
+            scalar->deblockEdgeV(e2.data() + 2, bstride, n, alpha, beta, tc);
+            check(e1 == e2, k->name, "deblockEdgeV");
         }
     }
     if (failures == 0)

@@ -52,64 +52,82 @@ clipLimit(int qp, int bs)
 }
 
 /**
- * Filter one 1-sample-wide edge segment. p1/p0 sit before the edge,
- * q0/q1 after, `step` apart in memory.
+ * The probe's decision bits: whether each vertical-edge sample with
+ * bs != 0 passes the filter test, in x-major order, appended until 64
+ * are recorded. Reads the plane before its vertical edges are
+ * filtered, which is exact: edge x reads columns x-2..x+1 and writes
+ * x-1 and x, and edges are 4 apart, so no vertical edge reads a
+ * sample another one writes.
  */
-inline bool
-filterSample(uint8_t *q0_ptr, int step, int qp, int bs)
+void
+recordVerticalDecisions(const video::Plane &plane, const MbGrid &grid,
+                        int shift, uint64_t &decisions, int &n_decisions)
 {
-    const int p1 = q0_ptr[-2 * step];
-    const int p0 = q0_ptr[-step];
-    const int q0 = q0_ptr[0];
-    const int q1 = q0_ptr[step];
-    if (std::abs(p0 - q0) >= kAlpha[qp] || std::abs(p1 - p0) >= kBeta[qp] ||
-        std::abs(q1 - q0) >= kBeta[qp]) {
-        return false;
+    const int w = plane.width();
+    const int h = plane.height();
+    for (int x = 4; x < w && n_decisions < 64; x += 4) {
+        const int mbx_q = x >> shift;
+        const int mbx_p = (x - 1) >> shift;
+        for (int y = 0; y < h && n_decisions < 64; ++y) {
+            const int mby = y >> shift;
+            const MbInfo &p = grid.at(mbx_p, mby);
+            const MbInfo &q = grid.at(mbx_q, mby);
+            if (boundaryStrength(p, q) == 0)
+                continue;
+            const int qp = (p.qp + q.qp + 1) / 2;
+            const uint8_t *s = plane.row(y) + x;
+            const bool filtered = std::abs(s[-1] - s[0]) < kAlpha[qp] &&
+                std::abs(s[-2] - s[-1]) < kBeta[qp] &&
+                std::abs(s[1] - s[0]) < kBeta[qp];
+            decisions |= static_cast<uint64_t>(filtered) << n_decisions;
+            ++n_decisions;
+        }
     }
-    const int tc = clipLimit(qp, bs);
-    int delta = ((q0 - p0) * 4 + (p1 - q1) + 4) >> 3;
-    delta = clampInt(delta, -tc, tc);
-    q0_ptr[-step] = clampPixel(p0 + delta);
-    q0_ptr[0] = clampPixel(q0 - delta);
-    return true;
 }
 
 /**
  * Deblock one plane. `shift` converts sample coordinates to luma
- * macroblock coordinates (4 for luma, 3 for chroma).
+ * macroblock coordinates (4 for luma, 3 for chroma). With `record`
+ * set, the plane's vertical-edge decisions are appended for the probe.
  */
 void
 deblockPlane(video::Plane &plane, const MbGrid &grid, int shift,
-             uint64_t &edges, uint64_t &decisions, int &n_decisions)
+             bool record, uint64_t &edges, uint64_t &decisions,
+             int &n_decisions)
 {
     const int w = plane.width();
     const int h = plane.height();
+    const int stride = plane.width();
+    const kernels::KernelOps &k = kernels::ops();
+    if (record && n_decisions < 64)
+        recordVerticalDecisions(plane, grid, shift, decisions, n_decisions);
 
-    // Vertical edges (filter across columns).
+    // Vertical edges (filter across columns). No vertical edge reads
+    // what another writes (see recordVerticalDecisions), so the order
+    // is free: for a fixed edge column and macroblock row the p and q
+    // macroblocks, hence bs and qp, are fixed, and each macroblock-tall
+    // span is one kernel call.
     for (int x = 4; x < w; x += 4) {
         const int mbx_q = x >> shift;
         const int mbx_p = (x - 1) >> shift;
-        for (int y = 0; y < h; ++y) {
+        for (int y = 0; y < h;) {
             const int mby = y >> shift;
+            const int span_end = std::min(h, (mby + 1) << shift);
             const MbInfo &p = grid.at(mbx_p, mby);
             const MbInfo &q = grid.at(mbx_q, mby);
             const int bs = boundaryStrength(p, q);
-            if (bs == 0)
-                continue;
-            const int qp = (p.qp + q.qp + 1) / 2;
-            const bool filtered = filterSample(&plane.at(x, y), 1, qp, bs);
-            ++edges;
-            if (n_decisions < 64) {
-                decisions |= static_cast<uint64_t>(filtered) << n_decisions;
-                ++n_decisions;
+            if (bs != 0) {
+                const int qp = (p.qp + q.qp + 1) / 2;
+                k.deblockEdgeV(plane.row(y) + x, stride, span_end - y,
+                               kAlpha[qp], kBeta[qp], clipLimit(qp, bs));
+                edges += static_cast<uint64_t>(span_end - y);
             }
+            y = span_end;
         }
     }
-    // Horizontal edges (filter across rows). bs and qp are constant
-    // within a macroblock-wide span of the edge, so each span is one
-    // vectorizable kernel call.
-    const int stride = plane.width();
-    const kernels::KernelOps &k = kernels::ops();
+    // Horizontal edges (filter across rows), after all vertical ones.
+    // bs and qp are constant within a macroblock-wide span of the
+    // edge, so each span is one vectorizable kernel call.
     for (int y = 4; y < h; y += 4) {
         const int mby_q = y >> shift;
         const int mby_p = (y - 1) >> shift;
@@ -139,9 +157,10 @@ deblockFrame(video::Frame &recon, const MbGrid &grid,
     uint64_t edges = 0;
     uint64_t decisions = 0;
     int n_decisions = 0;
-    deblockPlane(recon.y(), grid, 4, edges, decisions, n_decisions);
-    deblockPlane(recon.u(), grid, 3, edges, decisions, n_decisions);
-    deblockPlane(recon.v(), grid, 3, edges, decisions, n_decisions);
+    const bool record = probe != nullptr;
+    deblockPlane(recon.y(), grid, 4, record, edges, decisions, n_decisions);
+    deblockPlane(recon.u(), grid, 3, record, edges, decisions, n_decisions);
+    deblockPlane(recon.v(), grid, 3, record, edges, decisions, n_decisions);
     if (probe && edges > 0) {
         probe->record(uarch::KernelId::Deblock,
                       (edges + 15) / 16, decisions, n_decisions,

@@ -647,23 +647,10 @@ class VbcPolicy final : public BlockPolicy
     quantizeResidual(const Plane &plane, const uint8_t *pred, int x, int y,
                      int n, int qp, bool intra, int16_t *levels)
     {
-        const int side = n / 4;
-        int nonzero = 0;
-        for (int by = 0; by < side; ++by) {
-            for (int bx = 0; bx < side; ++bx) {
-                int16_t residual[16];
-                kernels::ops().diffBlock(
-                    plane.row(y + by * 4) + x + bx * 4, plane.width(),
-                    pred + by * 4 * n + bx * 4, n, residual, 4, 4, 4);
-                int32_t coefs[16];
-                forwardTransform4x4(residual, coefs);
-                nonzero += quantize4x4(coefs,
-                                       levels + (by * side + bx) * 16, qp,
-                                       intra);
-            }
-        }
+        const int nonzero = kernels::ops().quantBlock(
+            plane.row(y) + x, plane.width(), pred, n, n, qp, intra, levels);
         if (probe_) {
-            const uint64_t blocks = static_cast<uint64_t>(side) * side;
+            const uint64_t blocks = static_cast<uint64_t>(n / 4) * (n / 4);
             probe_->record(KernelId::TransformFwd, blocks);
             probe_->record(KernelId::Quant, blocks,
                            static_cast<uint64_t>(nonzero != 0), 1);

@@ -8,8 +8,6 @@
 
 #include <cstdint>
 
-#include "codec/transform.h"
-#include "codec/types.h"
 #include "kernels/kernel_ops.h"
 #include "video/plane.h"
 
@@ -32,39 +30,8 @@ inline int
 reconstructBlock(video::Plane &recon, int x, int y, int n,
                  const uint8_t *pred, const int16_t *levels, int qp)
 {
-    const int blocks_per_side = n / 4;
-    const int recon_stride = recon.width();
-    const kernels::KernelOps &k = kernels::ops();
-    int coded_blocks = 0;
-    for (int by = 0; by < blocks_per_side; ++by) {
-        for (int bx = 0; bx < blocks_per_side; ++bx) {
-            const int16_t *block_levels =
-                levels + (by * blocks_per_side + bx) * 16;
-            bool any = false;
-            for (int i = 0; i < 16; ++i) {
-                if (block_levels[i] != 0) {
-                    any = true;
-                    break;
-                }
-            }
-            const int ox = bx * 4;
-            const int oy = by * 4;
-            uint8_t *dst = recon.row(y + oy) + x + ox;
-            const uint8_t *pred_blk = pred + oy * n + ox;
-            if (!any) {
-                k.copy2d(pred_blk, n, dst, recon_stride, 4, 4);
-                continue;
-            }
-            ++coded_blocks;
-            int32_t coefs[16];
-            int16_t residual[16];
-            dequantize4x4(block_levels, coefs, qp);
-            inverseTransform4x4(coefs, residual);
-            k.addClampBlock(pred_blk, n, residual, 4, dst, recon_stride,
-                            4, 4);
-        }
-    }
-    return coded_blocks;
+    return kernels::ops().reconBlock(pred, n, levels, n, qp,
+                                     recon.row(y) + x, recon.width());
 }
 
 /** Copy a prediction buffer straight into the reconstruction plane. */

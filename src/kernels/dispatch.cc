@@ -2,7 +2,8 @@
  * @file
  * Runtime kernel dispatch: pick the widest ISA the host CPU and the
  * build both support, unless VBENCH_ISA pins a level. Resolution
- * happens exactly once per process, on the first ops() call; tests use
+ * happens exactly once per process, on the first ops() call, which
+ * then stays an inline load of detail::g_active; tests use
  * ScopedKernelIsa to swap the table in-process afterwards.
  */
 
@@ -57,15 +58,28 @@ resolve()
     return table != nullptr ? table : scalarOps();
 }
 
-/** The active table; mutable only through ScopedKernelIsa. */
-const KernelOps *&
-activeTable()
+} // namespace
+
+namespace detail {
+
+std::atomic<const KernelOps *> g_active{nullptr};
+
+const KernelOps *
+resolveActive()
 {
-    static const KernelOps *table = resolve();
-    return table;
+    // The function-local static makes resolution (and its one
+    // VBENCH_ISA warning) happen once even if threads race here; the
+    // store publishes it for ops()'s fast path. A ScopedKernelIsa
+    // always resolves first, so this never undoes one.
+    static const KernelOps *const resolved = [] {
+        const KernelOps *table = resolve();
+        g_active.store(table, std::memory_order_release);
+        return table;
+    }();
+    return resolved;
 }
 
-} // namespace
+} // namespace detail
 
 const char *
 isaName(Isa isa)
@@ -81,16 +95,10 @@ isaName(Isa isa)
     return "scalar";
 }
 
-const KernelOps &
-ops()
-{
-    return *activeTable();
-}
-
 Isa
 activeIsa()
 {
-    return activeTable()->isa;
+    return ops().isa;
 }
 
 Isa
@@ -139,15 +147,16 @@ parseIsaName(std::string_view name)
     return std::nullopt;
 }
 
-ScopedKernelIsa::ScopedKernelIsa(Isa isa) : saved_(activeTable())
+ScopedKernelIsa::ScopedKernelIsa(Isa isa) : saved_(&ops())
 {
     const KernelOps *table = opsFor(isa);
-    activeTable() = table != nullptr ? table : scalarOps();
+    detail::g_active.store(table != nullptr ? table : scalarOps(),
+                           std::memory_order_release);
 }
 
 ScopedKernelIsa::~ScopedKernelIsa()
 {
-    activeTable() = saved_;
+    detail::g_active.store(saved_, std::memory_order_release);
 }
 
 } // namespace vbench::kernels

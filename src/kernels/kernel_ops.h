@@ -6,8 +6,9 @@
  * pointers covering the hot loops the uarch taxonomy in
  * src/uarch/kernels.h names — block SAD/SATD, half-pel interpolation,
  * the 4x4/8x8 integer transforms, quant/dequant, residual extraction,
- * add+clamp reconstruction, plane copy, in-loop deblocking, and the
- * PSNR/SSIM accumulations.
+ * add+clamp reconstruction, whole-block residual coding and
+ * reconstruction, plane copy, in-loop deblocking, and the PSNR/SSIM
+ * accumulations.
  *
  * The table is resolved exactly once per process, at first use, from
  * CPUID (via __builtin_cpu_supports) and the VBENCH_ISA environment
@@ -22,6 +23,7 @@
  * not compiler-vectorized ones.
  */
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -135,6 +137,30 @@ struct KernelOps {
                           const int16_t *residual, int res_stride,
                           uint8_t *dst, int dst_stride, int w, int h);
 
+    /**
+     * Residual coding of one n x n block, n in {4, 8, 16}: for each 4x4
+     * block in raster order, exactly diffBlock -> fwdTx4x4 -> quant4x4,
+     * its 16 levels landing at levels[16 * (by * n / 4 + bx)]. src and
+     * pred are 8-bit samples, read over exactly n x n each; qp is
+     * 0..51. Returns the nonzero level count.
+     */
+    int (*quantBlock)(const uint8_t *src, int src_stride,
+                      const uint8_t *pred, int pred_stride, int n, int qp,
+                      bool intra, int16_t *levels);
+
+    /**
+     * Reconstruction of one n x n block, n in {4, 8, 16}, from
+     * quantBlock's level layout: for each 4x4 block, exactly
+     * dequant4x4 -> invTx4x4 -> addClampBlock onto pred. Levels may
+     * be any int16 (decoders parse up to +-32767); qp is 0..51. pred
+     * is read and dst written over exactly n x n, and they must not
+     * overlap. Returns the number of 4x4 blocks with a nonzero level
+     * (an all-zero block reconstructs to its prediction).
+     */
+    int (*reconBlock)(const uint8_t *pred, int pred_stride,
+                      const int16_t *levels, int n, int qp, uint8_t *dst,
+                      int dst_stride);
+
     // ----- In-loop deblocking --------------------------------------
 
     /**
@@ -143,6 +169,16 @@ struct KernelOps {
      * alpha/beta are the H.264 thresholds, tc the clip limit.
      */
     void (*deblockEdgeH)(uint8_t *q0, int stride, int n, int alpha,
+                         int beta, int tc);
+
+    /**
+     * Filter a vertical edge over n rows (n >= 0): q0 points at the
+     * first sample right of the edge in the top row, with p1/p0 at
+     * -2/-1 and q1 at +1, rows `stride` apart. Reads exactly those four
+     * columns of each row and writes p0 and q0. Same decision and
+     * arithmetic as deblockEdgeH; alpha/beta are 0..255, tc >= 0.
+     */
+    void (*deblockEdgeV)(uint8_t *q0, int stride, int n, int alpha,
                          int beta, int tc);
 
     // ----- Quality metrics -----------------------------------------
@@ -160,8 +196,29 @@ struct KernelOps {
                            uint32_t sums[5]);
 };
 
-/** The active dispatch table (resolved once, at first call). */
-const KernelOps &ops();
+namespace detail {
+
+/** The active table; null until the first ops() call resolves it. */
+extern std::atomic<const KernelOps *> g_active;
+
+/** Resolve the active table once per process (slow path of ops()). */
+const KernelOps *resolveActive();
+
+} // namespace detail
+
+/**
+ * The active dispatch table (resolved once, at first call). Inline: a
+ * single acquire load on every call after the first.
+ */
+inline const KernelOps &
+ops()
+{
+    const KernelOps *table =
+        detail::g_active.load(std::memory_order_acquire);
+    if (__builtin_expect(table == nullptr, 0))
+        table = detail::resolveActive();
+    return *table;
+}
 
 /** ISA level of the active table. */
 Isa activeIsa();
@@ -184,7 +241,8 @@ std::optional<Isa> parseIsaName(std::string_view name);
 
 /**
  * Test hook: force the active table to a given ISA level for the
- * lifetime of the object, restoring the previous table on destruction.
+ * lifetime of the object, restoring the previous table on destruction
+ * (it sets the same pointer ops() loads).
  * The requested level must be available (see opsFor); construction
  * falls back to scalar otherwise. Not thread-safe: only use around
  * single-threaded test sections.

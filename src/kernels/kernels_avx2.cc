@@ -9,12 +9,15 @@
  * (mpsadbw scores 16 search offsets per call), SATD (four
  * 4x4 Hadamard blocks per 256-bit strip in 16-bit lanes), the 8x8
  * transform pair (two 4x4 sub-blocks ride in the two 128-bit lanes),
- * quant/dequant, interpolation, residual diff/reconstruction, and the
- * PSNR sum of squares. The single 4x4 transforms, deblocking and the
- * 8-wide SSIM window stay on the SSE2 versions, which already fill
- * their lanes. All the same bit-exactness arguments as the SSE2 TU
- * apply (wrapping packs, 64-bit quant math, exact pavgb/psadbw), plus
- * SATD's exact halving (see satdAvx2).
+ * quant/dequant, interpolation, residual diff/reconstruction, the
+ * whole-block residual coding (quantBlock: four 4x4 blocks per pass in
+ * 16-bit lanes) and reconstruction (reconBlock: two blocks per pass in
+ * 32-bit lanes), and the PSNR sum of squares. The single 4x4
+ * transforms, both deblocking edge kernels and the 8-wide SSIM window
+ * stay on the SSE2 versions, which already fill their lanes. All the
+ * same bit-exactness arguments as the SSE2 TU apply (wrapping packs,
+ * 64-bit quant math, exact pavgb/psadbw), plus SATD's exact halving
+ * (see satdAvx2) and quantBlock's lane-width bounds (see quantQuad).
  */
 
 #include "kernels/kernel_ops.h"
@@ -24,6 +27,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <cstring>
 
@@ -661,48 +665,55 @@ fwdTx8x8Avx2(const int16_t residual[64], int32_t coefs[64])
     }
 }
 
+/**
+ * Inverse 4x4 core on two blocks at once, one per 128-bit lane: c[r]
+ * holds coefficient row r of both; on return c[r] holds output row r,
+ * rounded ((x + 32) >> 6) but still in int32 lanes.
+ */
+inline void
+inv4Pair(__m256i c[4])
+{
+    const __m256i round = _mm256_set1_epi32(32);
+    transpose4x32(c[0], c[1], c[2], c[3]);
+    __m256i e0 = _mm256_add_epi32(c[0], c[2]);
+    __m256i e1 = _mm256_sub_epi32(c[0], c[2]);
+    __m256i e2 = _mm256_sub_epi32(_mm256_srai_epi32(c[1], 1), c[3]);
+    __m256i e3 = _mm256_add_epi32(c[1], _mm256_srai_epi32(c[3], 1));
+    __m256i t0 = _mm256_add_epi32(e0, e3);
+    __m256i t1 = _mm256_add_epi32(e1, e2);
+    __m256i t2 = _mm256_sub_epi32(e1, e2);
+    __m256i t3 = _mm256_sub_epi32(e0, e3);
+    transpose4x32(t0, t1, t2, t3);
+    e0 = _mm256_add_epi32(t0, t2);
+    e1 = _mm256_sub_epi32(t0, t2);
+    e2 = _mm256_sub_epi32(_mm256_srai_epi32(t1, 1), t3);
+    e3 = _mm256_add_epi32(t1, _mm256_srai_epi32(t3, 1));
+    c[0] = _mm256_srai_epi32(
+        _mm256_add_epi32(_mm256_add_epi32(e0, e3), round), 6);
+    c[1] = _mm256_srai_epi32(
+        _mm256_add_epi32(_mm256_add_epi32(e1, e2), round), 6);
+    c[2] = _mm256_srai_epi32(
+        _mm256_add_epi32(_mm256_sub_epi32(e1, e2), round), 6);
+    c[3] = _mm256_srai_epi32(
+        _mm256_add_epi32(_mm256_sub_epi32(e0, e3), round), 6);
+}
+
 void
 invTx8x8Avx2(const int32_t coefs[64], int16_t residual[64])
 {
-    const __m256i round = _mm256_set1_epi32(32);
     for (int half = 0; half < 2; ++half) {
         const int32_t *left = coefs + (half * 2 + 0) * 16;
         const int32_t *right = coefs + (half * 2 + 1) * 16;
-        __m256i c[4];
+        __m256i o[4];
         for (int i = 0; i < 4; ++i) {
-            c[i] = _mm256_inserti128_si256(
+            o[i] = _mm256_inserti128_si256(
                 _mm256_castsi128_si256(_mm_loadu_si128(
                     reinterpret_cast<const __m128i *>(left + i * 4))),
                 _mm_loadu_si128(
                     reinterpret_cast<const __m128i *>(right + i * 4)),
                 1);
         }
-        transpose4x32(c[0], c[1], c[2], c[3]);
-        __m256i e0 = _mm256_add_epi32(c[0], c[2]);
-        __m256i e1 = _mm256_sub_epi32(c[0], c[2]);
-        __m256i e2 =
-            _mm256_sub_epi32(_mm256_srai_epi32(c[1], 1), c[3]);
-        __m256i e3 =
-            _mm256_add_epi32(c[1], _mm256_srai_epi32(c[3], 1));
-        __m256i t0 = _mm256_add_epi32(e0, e3);
-        __m256i t1 = _mm256_add_epi32(e1, e2);
-        __m256i t2 = _mm256_sub_epi32(e1, e2);
-        __m256i t3 = _mm256_sub_epi32(e0, e3);
-        transpose4x32(t0, t1, t2, t3);
-        e0 = _mm256_add_epi32(t0, t2);
-        e1 = _mm256_sub_epi32(t0, t2);
-        e2 = _mm256_sub_epi32(_mm256_srai_epi32(t1, 1), t3);
-        e3 = _mm256_add_epi32(t1, _mm256_srai_epi32(t3, 1));
-        const __m256i o[4] = {
-            _mm256_srai_epi32(
-                _mm256_add_epi32(_mm256_add_epi32(e0, e3), round), 6),
-            _mm256_srai_epi32(
-                _mm256_add_epi32(_mm256_add_epi32(e1, e2), round), 6),
-            _mm256_srai_epi32(
-                _mm256_add_epi32(_mm256_sub_epi32(e1, e2), round), 6),
-            _mm256_srai_epi32(
-                _mm256_add_epi32(_mm256_sub_epi32(e0, e3), round), 6),
-        };
+        inv4Pair(o);
         for (int i = 0; i < 4; ++i) {
             // Low lane = columns 0-3, high lane = columns 4-7 of the
             // same output row: one contiguous 8-int16 store.
@@ -722,14 +733,11 @@ quant4x4Avx2(const int32_t coefs[16], int16_t levels[16], int qp,
 {
     const int rem = qp % 6;
     const int qbits = 15 + qp / 6;
-    const int64_t f = (1ll << qbits) / (intra ? 3 : 6);
-    const __m256i f64 = _mm256_set1_epi64x(f);
+    const __m256i f64 = _mm256_set1_epi64x(quantRound(qbits, intra));
     // Rows 0-1 and rows 2-3 share the a,c,a,c / c,b,c,b multiplier
     // pattern, so one 8-lane vector covers both halves.
-    const __m256i mf = _mm256_setr_epi32(
-        kQuantMf[rem][0], kQuantMf[rem][2], kQuantMf[rem][0],
-        kQuantMf[rem][2], kQuantMf[rem][2], kQuantMf[rem][1],
-        kQuantMf[rem][2], kQuantMf[rem][1]);
+    const __m256i mf = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i *>(kQuantMfPos[rem].data()));
     const __m128i zero = _mm_setzero_si128();
     int nonzero = 0;
     for (int half = 0; half < 2; ++half) {
@@ -765,11 +773,8 @@ dequant4x4Avx2(const int16_t levels[16], int32_t coefs[16], int qp)
 {
     const int rem = qp % 6;
     const int shift = qp / 6;
-    const int16_t a = static_cast<int16_t>(kDequantV[rem][0]);
-    const int16_t b = static_cast<int16_t>(kDequantV[rem][1]);
-    const int16_t cc = static_cast<int16_t>(kDequantV[rem][2]);
-    const __m256i v = _mm256_setr_epi16(a, cc, a, cc, cc, b, cc, b, a, cc,
-                                        a, cc, cc, b, cc, b);
+    const __m256i v = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i *>(kDequantVPos16[rem].data()));
     const __m256i lv = _mm256_loadu_si256(
         reinterpret_cast<const __m256i *>(levels));
     const __m256i lo = _mm256_mullo_epi16(lv, v);
@@ -846,6 +851,264 @@ addClampBlockAvx2(const uint8_t *pred, int pred_stride,
     }
 }
 
+// ----- Whole-block residual coding and reconstruction ---------------
+
+/** Rows 0-1 of a 4x4 position table (int16), in both 128-bit lanes. */
+inline __m256i
+rowPairPattern(const std::array<int16_t, 16> &table)
+{
+    return _mm256_broadcastsi128_si256(_mm_loadu_si128(
+        reinterpret_cast<const __m128i *>(table.data())));
+}
+
+/**
+ * Quantize 16 int16 coefficients (a row pair of two blocks, |w| <=
+ * 9180) exactly as quant4x4 does: |w| * mf < 2^27 and + f < 2^31, so
+ * 32-bit lanes hold the product the scalar path forms at 64 bits, and
+ * the level (< 2^12) packs back to int16 without saturating.
+ */
+inline __m256i
+quantRowPair(__m256i w, __m256i mf, __m256i f, __m128i qbits)
+{
+    const __m256i mag = _mm256_abs_epi16(w);
+    const __m256i lo = _mm256_mullo_epi16(mag, mf);
+    const __m256i hi = _mm256_mulhi_epu16(mag, mf);
+    const __m256i p0 = _mm256_srl_epi32(
+        _mm256_add_epi32(_mm256_unpacklo_epi16(lo, hi), f), qbits);
+    const __m256i p1 = _mm256_srl_epi32(
+        _mm256_add_epi32(_mm256_unpackhi_epi16(lo, hi), f), qbits);
+    return _mm256_sign_epi16(_mm256_packs_epi32(p0, p1), w);
+}
+
+/**
+ * Transform and quantize four 4x4 blocks from four rows of int16
+ * residual: the low 128-bit lane carries blocks 0 and 1 (four columns
+ * each), the high lane blocks 2 and 3. Levels land block after block
+ * at levels[0..63]; returns their nonzero count.
+ *
+ * The transform runs in 16-bit lanes: |residual| <= 255 and the core
+ * matrix's largest row gain is 6, so |coef| <= 6 * 6 * 255 = 9180.
+ * Columns go first (lane-wise across the rows; the separable integer
+ * transform is exact in either order), then a per-block transpose
+ * lines the rows up lane-wise, and two unpack steps of the inverse
+ * transpose already leave each block's rows 0-1 and 2-3 contiguous.
+ */
+inline int
+quantQuad(const __m256i d[4], __m256i mf, __m256i f, __m128i qbits,
+          int16_t *levels)
+{
+    __m256i s0 = _mm256_add_epi16(d[0], d[3]);
+    __m256i s1 = _mm256_add_epi16(d[1], d[2]);
+    __m256i s2 = _mm256_sub_epi16(d[1], d[2]);
+    __m256i s3 = _mm256_sub_epi16(d[0], d[3]);
+    const __m256i c0 = _mm256_add_epi16(s0, s1);
+    const __m256i c1 = _mm256_add_epi16(_mm256_add_epi16(s3, s3), s2);
+    const __m256i c2 = _mm256_sub_epi16(s0, s1);
+    const __m256i c3 = _mm256_sub_epi16(s3, _mm256_add_epi16(s2, s2));
+
+    // x_j = column j of each block, one lane per row.
+    const __m256i r01lo = _mm256_unpacklo_epi16(c0, c1);
+    const __m256i r01hi = _mm256_unpackhi_epi16(c0, c1);
+    const __m256i r23lo = _mm256_unpacklo_epi16(c2, c3);
+    const __m256i r23hi = _mm256_unpackhi_epi16(c2, c3);
+    const __m256i a01 = _mm256_unpacklo_epi32(r01lo, r23lo);
+    const __m256i a23 = _mm256_unpackhi_epi32(r01lo, r23lo);
+    const __m256i b01 = _mm256_unpacklo_epi32(r01hi, r23hi);
+    const __m256i b23 = _mm256_unpackhi_epi32(r01hi, r23hi);
+    const __m256i x0 = _mm256_unpacklo_epi64(a01, b01);
+    const __m256i x1 = _mm256_unpackhi_epi64(a01, b01);
+    const __m256i x2 = _mm256_unpacklo_epi64(a23, b23);
+    const __m256i x3 = _mm256_unpackhi_epi64(a23, b23);
+
+    // Row butterflies: y_v = coefficient column v, one lane per row.
+    s0 = _mm256_add_epi16(x0, x3);
+    s1 = _mm256_add_epi16(x1, x2);
+    s2 = _mm256_sub_epi16(x1, x2);
+    s3 = _mm256_sub_epi16(x0, x3);
+    const __m256i y0 = _mm256_add_epi16(s0, s1);
+    const __m256i y1 = _mm256_add_epi16(_mm256_add_epi16(s3, s3), s2);
+    const __m256i y2 = _mm256_sub_epi16(s0, s1);
+    const __m256i y3 = _mm256_sub_epi16(s3, _mm256_add_epi16(s2, s2));
+
+    // Back to raster: rows 0-1 / 2-3 of the lane's first block (k01,
+    // k23) and of its second (m01, m23).
+    const __m256i t01lo = _mm256_unpacklo_epi16(y0, y1);
+    const __m256i t01hi = _mm256_unpackhi_epi16(y0, y1);
+    const __m256i t23lo = _mm256_unpacklo_epi16(y2, y3);
+    const __m256i t23hi = _mm256_unpackhi_epi16(y2, y3);
+    const __m256i k01 =
+        quantRowPair(_mm256_unpacklo_epi32(t01lo, t23lo), mf, f, qbits);
+    const __m256i k23 =
+        quantRowPair(_mm256_unpackhi_epi32(t01lo, t23lo), mf, f, qbits);
+    const __m256i m01 =
+        quantRowPair(_mm256_unpacklo_epi32(t01hi, t23hi), mf, f, qbits);
+    const __m256i m23 =
+        quantRowPair(_mm256_unpackhi_epi32(t01hi, t23hi), mf, f, qbits);
+
+    __m256i *out = reinterpret_cast<__m256i *>(levels);
+    _mm256_storeu_si256(out + 0, _mm256_permute2x128_si256(k01, k23, 0x20));
+    _mm256_storeu_si256(out + 1, _mm256_permute2x128_si256(m01, m23, 0x20));
+    _mm256_storeu_si256(out + 2, _mm256_permute2x128_si256(k01, k23, 0x31));
+    _mm256_storeu_si256(out + 3, _mm256_permute2x128_si256(m01, m23, 0x31));
+
+    // One mask bit per zero level.
+    const __m256i zero = _mm256_setzero_si256();
+    const uint32_t z0 = static_cast<uint32_t>(_mm256_movemask_epi8(
+        _mm256_packs_epi16(_mm256_cmpeq_epi16(k01, zero),
+                           _mm256_cmpeq_epi16(k23, zero))));
+    const uint32_t z1 = static_cast<uint32_t>(_mm256_movemask_epi8(
+        _mm256_packs_epi16(_mm256_cmpeq_epi16(m01, zero),
+                           _mm256_cmpeq_epi16(m23, zero))));
+    return 64 - __builtin_popcount(z0) - __builtin_popcount(z1);
+}
+
+/**
+ * Four blocks per quantQuad call: a 16-wide block row, or an 8x8
+ * block's two block rows side by side in the two 128-bit lanes. A 4x4
+ * block rides in the low lane alone with zero residual elsewhere,
+ * which quantizes to zero levels and adds nothing to the count.
+ */
+int
+quantBlockAvx2(const uint8_t *src, int src_stride, const uint8_t *pred,
+               int pred_stride, int n, int qp, bool intra, int16_t *levels)
+{
+    const __m256i mf = rowPairPattern(kQuantMfPos16[qp % 6]);
+    const int qbits = 15 + qp / 6;
+    const __m256i f = _mm256_set1_epi32(quantRound(qbits, intra));
+    const __m128i shift = _mm_cvtsi32_si128(qbits);
+    __m256i d[4];
+    if (n == 16) {
+        int nonzero = 0;
+        for (int by = 0; by < 16; by += 4, levels += 64) {
+            for (int r = 0; r < 4; ++r) {
+                d[r] = residual16(
+                    _mm_loadu_si128(reinterpret_cast<const __m128i *>(
+                        src + (by + r) * src_stride)),
+                    _mm_loadu_si128(reinterpret_cast<const __m128i *>(
+                        pred + (by + r) * pred_stride)));
+            }
+            nonzero += quantQuad(d, mf, f, shift, levels);
+        }
+        return nonzero;
+    }
+    if (n == 8) {
+        for (int r = 0; r < 4; ++r) {
+            const uint8_t *s = src + r * src_stride;
+            const uint8_t *p = pred + r * pred_stride;
+            d[r] = residual16(
+                _mm_unpacklo_epi64(load8(s), load8(s + 4 * src_stride)),
+                _mm_unpacklo_epi64(load8(p), load8(p + 4 * pred_stride)));
+        }
+        return quantQuad(d, mf, f, shift, levels);
+    }
+    for (int r = 0; r < 4; ++r)
+        d[r] = residual16(load4(src + r * src_stride),
+                          load4(pred + r * pred_stride));
+    alignas(32) int16_t quad[64];
+    const int nonzero = quantQuad(d, mf, f, shift, quad);
+    std::memcpy(levels, quad, 16 * sizeof(int16_t));
+    return nonzero;
+}
+
+/**
+ * Reconstruct two horizontally adjacent 4x4 blocks (levels at lv and
+ * lv + 16) over an 8 x 4 prediction, one block per 128-bit lane.
+ * Returns how many of the two have a nonzero level; when neither does
+ * the prediction is copied.
+ */
+inline int
+reconPair(const uint8_t *pred, int pred_stride, const int16_t *lv,
+          __m256i v, __m128i shift, uint8_t *dst, int dst_stride)
+{
+    const __m256i l0 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(lv));
+    const __m256i l1 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(lv + 16));
+    const int coded = !_mm256_testz_si256(l0, l0) +
+        !_mm256_testz_si256(l1, l1);
+    if (coded == 0) {
+        for (int r = 0; r < 4; ++r)
+            std::memcpy(dst + r * dst_stride, pred + r * pred_stride, 8);
+        return 0;
+    }
+    // Dequantize: mullo/mulhi halves interleave into the exact int32
+    // products, rows 0 and 1 (then 2 and 3) of both blocks.
+    __m256i c[4];
+    for (int half = 0; half < 2; ++half) {
+        const __m256i rows = _mm256_permute2x128_si256(
+            l0, l1, half == 0 ? 0x20 : 0x31);
+        const __m256i lo = _mm256_mullo_epi16(rows, v);
+        const __m256i hi = _mm256_mulhi_epi16(rows, v);
+        c[half * 2] = _mm256_sll_epi32(_mm256_unpacklo_epi16(lo, hi), shift);
+        c[half * 2 + 1] =
+            _mm256_sll_epi32(_mm256_unpackhi_epi16(lo, hi), shift);
+    }
+    inv4Pair(c);
+    // Wrap to int16 (sign-extend the low half, so the saturating pack
+    // is exact), as invTx4x4's static_cast does.
+    for (int r = 0; r < 4; ++r)
+        c[r] = _mm256_srai_epi32(_mm256_slli_epi32(c[r], 16), 16);
+    const __m256i res01 = _mm256_packs_epi32(c[0], c[1]);
+    const __m256i res23 = _mm256_packs_epi32(c[2], c[3]);
+    // Prediction in the same order: rows 0-1 of the left block, then
+    // of the right one.
+    const __m128i p0 = load8(pred);
+    const __m128i p1 = load8(pred + pred_stride);
+    const __m128i p2 = load8(pred + 2 * pred_stride);
+    const __m128i p3 = load8(pred + 3 * pred_stride);
+    const __m256i pred01 = _mm256_cvtepu8_epi16(_mm_unpacklo_epi32(p0, p1));
+    const __m256i pred23 = _mm256_cvtepu8_epi16(_mm_unpacklo_epi32(p2, p3));
+    // Saturating add then packus: exact, as in addClampBlock.
+    const __m256i out = _mm256_packus_epi16(_mm256_adds_epi16(pred01, res01),
+                                            _mm256_adds_epi16(pred23, res23));
+    const __m128i left = _mm256_castsi256_si128(out);
+    const __m128i right = _mm256_extracti128_si256(out, 1);
+    const __m128i rows01 = _mm_unpacklo_epi32(left, right);
+    const __m128i rows23 = _mm_unpackhi_epi32(left, right);
+    _mm_storel_epi64(reinterpret_cast<__m128i *>(dst), rows01);
+    _mm_storel_epi64(reinterpret_cast<__m128i *>(dst + dst_stride),
+                     _mm_unpackhi_epi64(rows01, rows01));
+    _mm_storel_epi64(reinterpret_cast<__m128i *>(dst + 2 * dst_stride),
+                     rows23);
+    _mm_storel_epi64(reinterpret_cast<__m128i *>(dst + 3 * dst_stride),
+                     _mm_unpackhi_epi64(rows23, rows23));
+    return coded;
+}
+
+/**
+ * Two blocks per pass (reconPair). Levels stay in 32-bit lanes after
+ * dequantization, as in invTx4x4, because decoders parse any int16. A
+ * lone 4x4 block runs through a zero-padded 8 x 4 copy.
+ */
+int
+reconBlockAvx2(const uint8_t *pred, int pred_stride, const int16_t *levels,
+               int n, int qp, uint8_t *dst, int dst_stride)
+{
+    const __m256i v = rowPairPattern(kDequantVPos16[qp % 6]);
+    const __m128i shift = _mm_cvtsi32_si128(qp / 6);
+    if (n == 4) {
+        alignas(32) int16_t lv[32] = {};
+        uint8_t p[32] = {};
+        uint8_t d[32];
+        std::memcpy(lv, levels, 16 * sizeof(int16_t));
+        for (int r = 0; r < 4; ++r)
+            std::memcpy(p + r * 8, pred + r * pred_stride, 4);
+        const int coded = reconPair(p, 8, lv, v, shift, d, 8);
+        for (int r = 0; r < 4; ++r)
+            std::memcpy(dst + r * dst_stride, d + r * 8, 4);
+        return coded;
+    }
+    int coded = 0;
+    for (int by = 0; by < n; by += 4) {
+        for (int bx = 0; bx < n; bx += 8, levels += 32) {
+            coded += reconPair(pred + by * pred_stride + bx, pred_stride,
+                               levels, v, shift, dst + by * dst_stride + bx,
+                               dst_stride);
+        }
+    }
+    return coded;
+}
+
 // ----- Metrics -----------------------------------------------------
 
 uint64_t
@@ -911,6 +1174,8 @@ avx2Ops()
         t.dequant4x4 = dequant4x4Avx2;
         t.diffBlock = diffBlockAvx2;
         t.addClampBlock = addClampBlockAvx2;
+        t.quantBlock = quantBlockAvx2;
+        t.reconBlock = reconBlockAvx2;
         t.sse8 = sse8Avx2;
         return t;
     }();

@@ -257,11 +257,10 @@ quant4x4Scalar(const int32_t coefs[16], int16_t levels[16], int qp,
 {
     const int rem = qp % 6;
     const int qbits = 15 + qp / 6;
-    // Rounding offset: 1/3 of a step for intra, 1/6 for inter.
-    const int64_t f = (1ll << qbits) / (intra ? 3 : 6);
+    const int64_t f = quantRound(qbits, intra);
     int nonzero = 0;
     for (int i = 0; i < 16; ++i) {
-        const int mf = kQuantMf[rem][posClass(i)];
+        const int mf = kQuantMfPos[rem][i];
         const int64_t w = coefs[i];
         const int64_t mag = ((w < 0 ? -w : w) * mf + f) >> qbits;
         const int16_t level = static_cast<int16_t>(w < 0 ? -mag : mag);
@@ -312,25 +311,90 @@ addClampBlockScalar(const uint8_t *pred, int pred_stride,
     }
 }
 
+int
+quantBlockScalar(const uint8_t *src, int src_stride, const uint8_t *pred,
+                 int pred_stride, int n, int qp, bool intra,
+                 int16_t *levels)
+{
+    int nonzero = 0;
+    for (int by = 0; by < n; by += 4) {
+        for (int bx = 0; bx < n; bx += 4, levels += 16) {
+            int16_t residual[16];
+            int32_t coefs[16];
+            diffBlockScalar(src + by * src_stride + bx, src_stride,
+                            pred + by * pred_stride + bx, pred_stride,
+                            residual, 4, 4, 4);
+            fwdTx4x4Scalar(residual, coefs);
+            nonzero += quant4x4Scalar(coefs, levels, qp, intra);
+        }
+    }
+    return nonzero;
+}
+
+int
+reconBlockScalar(const uint8_t *pred, int pred_stride,
+                 const int16_t *levels, int n, int qp, uint8_t *dst,
+                 int dst_stride)
+{
+    int coded = 0;
+    for (int by = 0; by < n; by += 4) {
+        for (int bx = 0; bx < n; bx += 4, levels += 16) {
+            const uint8_t *p = pred + by * pred_stride + bx;
+            uint8_t *d = dst + by * dst_stride + bx;
+            bool any = false;
+            for (int i = 0; i < 16 && !any; ++i)
+                any = levels[i] != 0;
+            if (!any) {
+                copy2dScalar(p, pred_stride, d, dst_stride, 4, 4);
+                continue;
+            }
+            ++coded;
+            int32_t coefs[16];
+            int16_t residual[16];
+            dequant4x4Scalar(levels, coefs, qp);
+            invTx4x4Scalar(coefs, residual);
+            addClampBlockScalar(p, pred_stride, residual, 4, d, dst_stride,
+                                4, 4);
+        }
+    }
+    return coded;
+}
+
+/**
+ * Filter one edge sample: p1/p0 sit before the edge, q0/q1 after,
+ * `step` apart in memory.
+ */
+inline void
+filterEdgeSample(uint8_t *q0_ptr, int step, int alpha, int beta, int tc)
+{
+    const int p1 = q0_ptr[-2 * step];
+    const int p0 = q0_ptr[-step];
+    const int q0 = q0_ptr[0];
+    const int q1 = q0_ptr[step];
+    if (std::abs(p0 - q0) >= alpha || std::abs(p1 - p0) >= beta ||
+        std::abs(q1 - q0) >= beta) {
+        return;
+    }
+    int delta = ((q0 - p0) * 4 + (p1 - q1) + 4) >> 3;
+    delta = delta < -tc ? -tc : (delta > tc ? tc : delta);
+    q0_ptr[-step] = clamp255(p0 + delta);
+    q0_ptr[0] = clamp255(q0 - delta);
+}
+
 void
 deblockEdgeHScalar(uint8_t *q0_row, int stride, int n, int alpha,
                    int beta, int tc)
 {
-    for (int i = 0; i < n; ++i) {
-        uint8_t *q0_ptr = q0_row + i;
-        const int p1 = q0_ptr[-2 * stride];
-        const int p0 = q0_ptr[-stride];
-        const int q0 = q0_ptr[0];
-        const int q1 = q0_ptr[stride];
-        if (std::abs(p0 - q0) >= alpha || std::abs(p1 - p0) >= beta ||
-            std::abs(q1 - q0) >= beta) {
-            continue;
-        }
-        int delta = ((q0 - p0) * 4 + (p1 - q1) + 4) >> 3;
-        delta = delta < -tc ? -tc : (delta > tc ? tc : delta);
-        q0_ptr[-stride] = clamp255(p0 + delta);
-        q0_ptr[0] = clamp255(q0 - delta);
-    }
+    for (int i = 0; i < n; ++i)
+        filterEdgeSample(q0_row + i, stride, alpha, beta, tc);
+}
+
+void
+deblockEdgeVScalar(uint8_t *q0_col, int stride, int n, int alpha,
+                   int beta, int tc)
+{
+    for (int i = 0; i < n; ++i)
+        filterEdgeSample(q0_col + i * stride, 1, alpha, beta, tc);
 }
 
 uint64_t
@@ -392,7 +456,10 @@ scalarOps()
         dequant4x4Scalar,
         diffBlockScalar,
         addClampBlockScalar,
+        quantBlockScalar,
+        reconBlockScalar,
         deblockEdgeHScalar,
+        deblockEdgeVScalar,
         sse8Scalar,
         ssimWindowSumsScalar,
     };

@@ -6,10 +6,12 @@
  *
  * Every routine is bit-exact against the scalar reference for all
  * inputs: the 8-bit average instruction pavgb computes exactly
- * (a + b + 1) >> 1, psadbw is an exact SAD, quant runs the same 64-bit
- * widened math as the scalar path via pmuludq, and the final int16
- * narrowing in the inverse transform uses a truncating (wrapping)
- * pack, not a saturating one, to match the scalar static_cast.
+ * (a + b + 1) >> 1, psadbw is an exact SAD, quant4x4 runs the same
+ * 64-bit widened math as the scalar path via pmuludq (quantBlock's
+ * 8-bit inputs bound its products to 32 bits, see quantPair), and the
+ * final int16 narrowing in the inverse transform uses a truncating
+ * (wrapping) pack, not a saturating one, to match the scalar
+ * static_cast.
  */
 
 #include "kernels/kernel_ops.h"
@@ -40,6 +42,30 @@ load8u16(const uint8_t *p)
     return _mm_unpacklo_epi8(
         _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p)),
         _mm_setzero_si128());
+}
+
+/** Load 4 bytes into the low lane. */
+inline __m128i
+load4(const uint8_t *p)
+{
+    uint32_t v;
+    std::memcpy(&v, p, 4);
+    return _mm_cvtsi32_si128(static_cast<int>(v));
+}
+
+/** Load 4 bytes and zero-extend to 4 uint16 lanes (the rest zero). */
+inline __m128i
+load4u16(const uint8_t *p)
+{
+    return _mm_unpacklo_epi8(load4(p), _mm_setzero_si128());
+}
+
+/** Store the low 4 bytes. */
+inline void
+store4(uint8_t *p, __m128i v)
+{
+    const uint32_t w = static_cast<uint32_t>(_mm_cvtsi128_si32(v));
+    std::memcpy(p, &w, 4);
 }
 
 /** Load 4 int16 and sign-extend to 4 int32 lanes. */
@@ -465,16 +491,13 @@ quant4x4Sse2(const int32_t coefs[16], int16_t levels[16], int qp,
 {
     const int rem = qp % 6;
     const int qbits = 15 + qp / 6;
-    const int64_t f = (1ll << qbits) / (intra ? 3 : 6);
-    const __m128i f64 = _mm_set1_epi64x(f);
+    const __m128i f64 = _mm_set1_epi64x(quantRound(qbits, intra));
     // Row position classes alternate a,c,a,c (even rows) and
     // c,b,c,b (odd rows).
-    const __m128i mf_even =
-        _mm_setr_epi32(kQuantMf[rem][0], kQuantMf[rem][2],
-                       kQuantMf[rem][0], kQuantMf[rem][2]);
-    const __m128i mf_odd =
-        _mm_setr_epi32(kQuantMf[rem][2], kQuantMf[rem][1],
-                       kQuantMf[rem][2], kQuantMf[rem][1]);
+    const __m128i mf_even = _mm_loadu_si128(
+        reinterpret_cast<const __m128i *>(kQuantMfPos[rem].data()));
+    const __m128i mf_odd = _mm_loadu_si128(
+        reinterpret_cast<const __m128i *>(kQuantMfPos[rem].data() + 4));
     int nonzero = 0;
     const __m128i zero = _mm_setzero_si128();
     for (int r = 0; r < 4; ++r) {
@@ -498,15 +521,8 @@ dequant4x4Sse2(const int16_t levels[16], int32_t coefs[16], int qp)
     const int rem = qp % 6;
     const int shift = qp / 6;
     // Two rows per 8-lane vector share the a,c,a,c,c,b,c,b pattern.
-    const __m128i v = _mm_setr_epi16(
-        static_cast<int16_t>(kDequantV[rem][0]),
-        static_cast<int16_t>(kDequantV[rem][2]),
-        static_cast<int16_t>(kDequantV[rem][0]),
-        static_cast<int16_t>(kDequantV[rem][2]),
-        static_cast<int16_t>(kDequantV[rem][2]),
-        static_cast<int16_t>(kDequantV[rem][1]),
-        static_cast<int16_t>(kDequantV[rem][2]),
-        static_cast<int16_t>(kDequantV[rem][1]));
+    const __m128i v = _mm_loadu_si128(
+        reinterpret_cast<const __m128i *>(kDequantVPos16[rem].data()));
     for (int half = 0; half < 2; ++half) {
         const __m128i lv = _mm_loadu_si128(
             reinterpret_cast<const __m128i *>(levels + half * 8));
@@ -570,69 +586,321 @@ addClampBlockSse2(const uint8_t *pred, int pred_stride,
     }
 }
 
+/**
+ * Quantize 8 int16 coefficients (a row pair of one block, |w| <=
+ * 9180) exactly as quant4x4 does: |w| * mf < 2^27 and + f < 2^31, so
+ * 32-bit lanes hold the product the scalar path forms at 64 bits, and
+ * the level (< 2^12) packs back to int16 without saturating.
+ */
+inline __m128i
+quantRowPair(__m128i w, __m128i mf, __m128i f, __m128i qbits)
+{
+    const __m128i sign = _mm_srai_epi16(w, 15);
+    const __m128i mag = _mm_sub_epi16(_mm_xor_si128(w, sign), sign);
+    const __m128i lo = _mm_mullo_epi16(mag, mf);
+    const __m128i hi = _mm_mulhi_epu16(mag, mf);
+    const __m128i p0 = _mm_srl_epi32(
+        _mm_add_epi32(_mm_unpacklo_epi16(lo, hi), f), qbits);
+    const __m128i p1 = _mm_srl_epi32(
+        _mm_add_epi32(_mm_unpackhi_epi16(lo, hi), f), qbits);
+    const __m128i level = _mm_packs_epi32(p0, p1);
+    return _mm_sub_epi16(_mm_xor_si128(level, sign), sign);
+}
+
+/**
+ * Transform and quantize two 4x4 blocks from four rows of int16
+ * residual (block 0 in lanes 0-3, block 1 in lanes 4-7) into
+ * levels[0..31]; returns their nonzero count.
+ *
+ * The transform runs in 16-bit lanes: |residual| <= 255 and the core
+ * matrix's largest row gain is 6, so |coef| <= 6 * 6 * 255 = 9180.
+ * Columns go first (lane-wise across the rows; the separable integer
+ * transform is exact in either order), then a per-block transpose
+ * lines the rows up lane-wise, and two unpack steps of the inverse
+ * transpose already leave each block's rows 0-1 and 2-3 contiguous.
+ */
+inline int
+quantPair(const __m128i d[4], __m128i mf, __m128i f, __m128i qbits,
+          int16_t *levels)
+{
+    __m128i s0 = _mm_add_epi16(d[0], d[3]);
+    __m128i s1 = _mm_add_epi16(d[1], d[2]);
+    __m128i s2 = _mm_sub_epi16(d[1], d[2]);
+    __m128i s3 = _mm_sub_epi16(d[0], d[3]);
+    const __m128i c0 = _mm_add_epi16(s0, s1);
+    const __m128i c1 = _mm_add_epi16(_mm_add_epi16(s3, s3), s2);
+    const __m128i c2 = _mm_sub_epi16(s0, s1);
+    const __m128i c3 = _mm_sub_epi16(s3, _mm_add_epi16(s2, s2));
+
+    // x_j = column j of both blocks, one lane per row.
+    const __m128i r01lo = _mm_unpacklo_epi16(c0, c1);
+    const __m128i r01hi = _mm_unpackhi_epi16(c0, c1);
+    const __m128i r23lo = _mm_unpacklo_epi16(c2, c3);
+    const __m128i r23hi = _mm_unpackhi_epi16(c2, c3);
+    const __m128i a01 = _mm_unpacklo_epi32(r01lo, r23lo);
+    const __m128i a23 = _mm_unpackhi_epi32(r01lo, r23lo);
+    const __m128i b01 = _mm_unpacklo_epi32(r01hi, r23hi);
+    const __m128i b23 = _mm_unpackhi_epi32(r01hi, r23hi);
+    const __m128i x0 = _mm_unpacklo_epi64(a01, b01);
+    const __m128i x1 = _mm_unpackhi_epi64(a01, b01);
+    const __m128i x2 = _mm_unpacklo_epi64(a23, b23);
+    const __m128i x3 = _mm_unpackhi_epi64(a23, b23);
+
+    // Row butterflies: y_v = coefficient column v, one lane per row.
+    s0 = _mm_add_epi16(x0, x3);
+    s1 = _mm_add_epi16(x1, x2);
+    s2 = _mm_sub_epi16(x1, x2);
+    s3 = _mm_sub_epi16(x0, x3);
+    const __m128i y0 = _mm_add_epi16(s0, s1);
+    const __m128i y1 = _mm_add_epi16(_mm_add_epi16(s3, s3), s2);
+    const __m128i y2 = _mm_sub_epi16(s0, s1);
+    const __m128i y3 = _mm_sub_epi16(s3, _mm_add_epi16(s2, s2));
+
+    // Back to raster: rows 0-1 / 2-3 of block 0 (k01, k23) and of
+    // block 1 (m01, m23).
+    const __m128i t01lo = _mm_unpacklo_epi16(y0, y1);
+    const __m128i t01hi = _mm_unpackhi_epi16(y0, y1);
+    const __m128i t23lo = _mm_unpacklo_epi16(y2, y3);
+    const __m128i t23hi = _mm_unpackhi_epi16(y2, y3);
+    const __m128i k01 =
+        quantRowPair(_mm_unpacklo_epi32(t01lo, t23lo), mf, f, qbits);
+    const __m128i k23 =
+        quantRowPair(_mm_unpackhi_epi32(t01lo, t23lo), mf, f, qbits);
+    const __m128i m01 =
+        quantRowPair(_mm_unpacklo_epi32(t01hi, t23hi), mf, f, qbits);
+    const __m128i m23 =
+        quantRowPair(_mm_unpackhi_epi32(t01hi, t23hi), mf, f, qbits);
+
+    __m128i *out = reinterpret_cast<__m128i *>(levels);
+    _mm_storeu_si128(out + 0, k01);
+    _mm_storeu_si128(out + 1, k23);
+    _mm_storeu_si128(out + 2, m01);
+    _mm_storeu_si128(out + 3, m23);
+
+    // One mask bit per zero level.
+    const __m128i zero = _mm_setzero_si128();
+    const unsigned z = static_cast<unsigned>(_mm_movemask_epi8(
+        _mm_packs_epi16(_mm_cmpeq_epi16(k01, zero),
+                        _mm_cmpeq_epi16(k23, zero)))) |
+        static_cast<unsigned>(_mm_movemask_epi8(
+            _mm_packs_epi16(_mm_cmpeq_epi16(m01, zero),
+                            _mm_cmpeq_epi16(m23, zero))))
+            << 16;
+    return 32 - __builtin_popcount(z);
+}
+
+/**
+ * Two horizontally adjacent blocks per quantPair call. A 4x4 block
+ * rides in the low half alone with zero residual in the other, which
+ * quantizes to zero levels and adds nothing to the count.
+ */
+int
+quantBlockSse2(const uint8_t *src, int src_stride, const uint8_t *pred,
+               int pred_stride, int n, int qp, bool intra, int16_t *levels)
+{
+    const __m128i mf = _mm_loadu_si128(
+        reinterpret_cast<const __m128i *>(kQuantMfPos16[qp % 6].data()));
+    const int qbits = 15 + qp / 6;
+    const __m128i f = _mm_set1_epi32(quantRound(qbits, intra));
+    const __m128i shift = _mm_cvtsi32_si128(qbits);
+    __m128i d[4];
+    if (n == 4) {
+        for (int r = 0; r < 4; ++r) {
+            d[r] = _mm_sub_epi16(load4u16(src + r * src_stride),
+                                 load4u16(pred + r * pred_stride));
+        }
+        int16_t pair[32];
+        const int nonzero = quantPair(d, mf, f, shift, pair);
+        std::memcpy(levels, pair, 16 * sizeof(int16_t));
+        return nonzero;
+    }
+    int nonzero = 0;
+    for (int by = 0; by < n; by += 4) {
+        for (int bx = 0; bx < n; bx += 8, levels += 32) {
+            for (int r = 0; r < 4; ++r) {
+                d[r] = _mm_sub_epi16(
+                    load8u16(src + (by + r) * src_stride + bx),
+                    load8u16(pred + (by + r) * pred_stride + bx));
+            }
+            nonzero += quantPair(d, mf, f, shift, levels);
+        }
+    }
+    return nonzero;
+}
+
+/** The scalar reconBlock composition with this TU's per-4x4 kernels. */
+int
+reconBlockSse2(const uint8_t *pred, int pred_stride, const int16_t *levels,
+               int n, int qp, uint8_t *dst, int dst_stride)
+{
+    const __m128i zero = _mm_setzero_si128();
+    int coded = 0;
+    for (int by = 0; by < n; by += 4) {
+        for (int bx = 0; bx < n; bx += 4, levels += 16) {
+            const uint8_t *p = pred + by * pred_stride + bx;
+            uint8_t *d = dst + by * dst_stride + bx;
+            const __m128i any = _mm_or_si128(
+                _mm_loadu_si128(reinterpret_cast<const __m128i *>(levels)),
+                _mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(levels + 8)));
+            if (_mm_movemask_epi8(_mm_cmpeq_epi8(any, zero)) == 0xFFFF) {
+                for (int r = 0; r < 4; ++r)
+                    std::memcpy(d + r * dst_stride, p + r * pred_stride, 4);
+                continue;
+            }
+            ++coded;
+            int32_t coefs[16];
+            int16_t residual[16];
+            dequant4x4Sse2(levels, coefs, qp);
+            inv4Core(coefs, residual, 4);
+            for (int r = 0; r < 4; ++r) {
+                const __m128i vp = load4u16(p + r * pred_stride);
+                const __m128i vr = _mm_loadl_epi64(
+                    reinterpret_cast<const __m128i *>(residual + r * 4));
+                // Saturating add: exact, as in addClampBlockSse2.
+                const __m128i sum = _mm_adds_epi16(vp, vr);
+                store4(d + r * dst_stride, _mm_packus_epi16(sum, sum));
+            }
+        }
+    }
+    return coded;
+}
+
 // ----- Deblocking --------------------------------------------------
+
+/** One edge sample, as deblockEdgeHScalar filters it. */
+inline void
+filterEdgeSample(uint8_t *q0_ptr, int step, int alpha, int beta, int tc)
+{
+    const int p1 = q0_ptr[-2 * step];
+    const int p0 = q0_ptr[-step];
+    const int q0 = q0_ptr[0];
+    const int q1 = q0_ptr[step];
+    if (std::abs(p0 - q0) >= alpha || std::abs(p1 - p0) >= beta ||
+        std::abs(q1 - q0) >= beta) {
+        return;
+    }
+    int delta = ((q0 - p0) * 4 + (p1 - q1) + 4) >> 3;
+    delta = delta < -tc ? -tc : (delta > tc ? tc : delta);
+    q0_ptr[-step] = clamp255(p0 + delta);
+    q0_ptr[0] = clamp255(q0 - delta);
+}
+
+/** The edge filter's thresholds as uint16 lanes. */
+struct EdgeLimits {
+    __m128i alpha, beta, tc, ntc;
+
+    EdgeLimits(int a, int b, int t)
+        : alpha(_mm_set1_epi16(static_cast<int16_t>(a))),
+          beta(_mm_set1_epi16(static_cast<int16_t>(b))),
+          tc(_mm_set1_epi16(static_cast<int16_t>(t))),
+          ntc(_mm_set1_epi16(static_cast<int16_t>(-t)))
+    {
+    }
+};
+
+/**
+ * Filter 8 edge samples held in uint16 lanes; p0 and q0 are replaced
+ * by their filtered values (unchanged where the test fails).
+ */
+inline void
+filterEdge8(__m128i p1, __m128i &p0, __m128i &q0, __m128i q1,
+            const EdgeLimits &lim)
+{
+    const __m128i zero = _mm_setzero_si128();
+    const __m128i dpq = _mm_sub_epi16(p0, q0);
+    const __m128i abs_pq = _mm_max_epi16(dpq, _mm_sub_epi16(zero, dpq));
+    const __m128i dp = _mm_sub_epi16(p1, p0);
+    const __m128i abs_p = _mm_max_epi16(dp, _mm_sub_epi16(zero, dp));
+    const __m128i dq = _mm_sub_epi16(q1, q0);
+    const __m128i abs_q = _mm_max_epi16(dq, _mm_sub_epi16(zero, dq));
+    const __m128i mask = _mm_and_si128(
+        _mm_cmplt_epi16(abs_pq, lim.alpha),
+        _mm_and_si128(_mm_cmplt_epi16(abs_p, lim.beta),
+                      _mm_cmplt_epi16(abs_q, lim.beta)));
+    __m128i delta = _mm_srai_epi16(
+        _mm_add_epi16(
+            _mm_add_epi16(_mm_slli_epi16(_mm_sub_epi16(q0, p0), 2),
+                          _mm_sub_epi16(p1, q1)),
+            _mm_set1_epi16(4)),
+        3);
+    delta = _mm_min_epi16(_mm_max_epi16(delta, lim.ntc), lim.tc);
+    const __m128i new_p0 = _mm_add_epi16(p0, delta);
+    const __m128i new_q0 = _mm_sub_epi16(q0, delta);
+    p0 = _mm_or_si128(_mm_and_si128(mask, new_p0),
+                      _mm_andnot_si128(mask, p0));
+    q0 = _mm_or_si128(_mm_and_si128(mask, new_q0),
+                      _mm_andnot_si128(mask, q0));
+}
 
 void
 deblockEdgeHSse2(uint8_t *q0_row, int stride, int n, int alpha, int beta,
                  int tc)
 {
-    const __m128i valpha = _mm_set1_epi16(static_cast<int16_t>(alpha));
-    const __m128i vbeta = _mm_set1_epi16(static_cast<int16_t>(beta));
-    const __m128i vtc = _mm_set1_epi16(static_cast<int16_t>(tc));
-    const __m128i vntc = _mm_set1_epi16(static_cast<int16_t>(-tc));
-    const __m128i four = _mm_set1_epi16(4);
+    const EdgeLimits lim(alpha, beta, tc);
     int i = 0;
     for (; i + 8 <= n; i += 8) {
         const __m128i p1 = load8u16(q0_row + i - 2 * stride);
-        const __m128i p0 = load8u16(q0_row + i - stride);
-        const __m128i q0 = load8u16(q0_row + i);
+        __m128i p0 = load8u16(q0_row + i - stride);
+        __m128i q0 = load8u16(q0_row + i);
         const __m128i q1 = load8u16(q0_row + i + stride);
-        const __m128i dpq = _mm_sub_epi16(p0, q0);
-        const __m128i abs_pq =
-            _mm_max_epi16(dpq, _mm_sub_epi16(_mm_setzero_si128(), dpq));
-        const __m128i dp = _mm_sub_epi16(p1, p0);
-        const __m128i abs_p =
-            _mm_max_epi16(dp, _mm_sub_epi16(_mm_setzero_si128(), dp));
-        const __m128i dq = _mm_sub_epi16(q1, q0);
-        const __m128i abs_q =
-            _mm_max_epi16(dq, _mm_sub_epi16(_mm_setzero_si128(), dq));
-        const __m128i mask = _mm_and_si128(
-            _mm_cmplt_epi16(abs_pq, valpha),
-            _mm_and_si128(_mm_cmplt_epi16(abs_p, vbeta),
-                          _mm_cmplt_epi16(abs_q, vbeta)));
-        __m128i delta = _mm_srai_epi16(
-            _mm_add_epi16(
-                _mm_add_epi16(_mm_slli_epi16(_mm_sub_epi16(q0, p0), 2),
-                              _mm_sub_epi16(p1, q1)),
-                four),
-            3);
-        delta = _mm_min_epi16(_mm_max_epi16(delta, vntc), vtc);
-        const __m128i new_p0 = _mm_add_epi16(p0, delta);
-        const __m128i new_q0 = _mm_sub_epi16(q0, delta);
-        const __m128i out_p0 = _mm_or_si128(
-            _mm_and_si128(mask, new_p0), _mm_andnot_si128(mask, p0));
-        const __m128i out_q0 = _mm_or_si128(
-            _mm_and_si128(mask, new_q0), _mm_andnot_si128(mask, q0));
+        filterEdge8(p1, p0, q0, q1, lim);
         _mm_storel_epi64(reinterpret_cast<__m128i *>(q0_row + i - stride),
-                         _mm_packus_epi16(out_p0, out_p0));
+                         _mm_packus_epi16(p0, p0));
         _mm_storel_epi64(reinterpret_cast<__m128i *>(q0_row + i),
-                         _mm_packus_epi16(out_q0, out_q0));
+                         _mm_packus_epi16(q0, q0));
     }
-    for (; i < n; ++i) {
-        uint8_t *q0_ptr = q0_row + i;
-        const int p1 = q0_ptr[-2 * stride];
-        const int p0 = q0_ptr[-stride];
-        const int q0 = q0_ptr[0];
-        const int q1 = q0_ptr[stride];
-        if (std::abs(p0 - q0) >= alpha || std::abs(p1 - p0) >= beta ||
-            std::abs(q1 - q0) >= beta) {
-            continue;
+    for (; i < n; ++i)
+        filterEdgeSample(q0_row + i, stride, alpha, beta, tc);
+}
+
+/**
+ * Eight rows per pass: the 4 bytes p1 p0 q0 q1 of each row are
+ * transposed into p1|p0 and q0|q1 vectors (8 rows each), filtered as
+ * deblockEdgeH filters 8 columns, and p0|q0 are interleaved back into
+ * one 2-byte store per row.
+ */
+void
+deblockEdgeVSse2(uint8_t *q0_col, int stride, int n, int alpha, int beta,
+                 int tc)
+{
+    const EdgeLimits lim(alpha, beta, tc);
+    const __m128i zero = _mm_setzero_si128();
+    int i = 0;
+    for (; i + 8 <= n; i += 8) {
+        uint8_t *base = q0_col + i * stride - 2;
+        __m128i r[8];
+        for (int k = 0; k < 8; ++k)
+            r[k] = load4(base + k * stride);
+        // Bytes of rows 0-3 then 4-7: p1 x4, p0 x4, q0 x4, q1 x4.
+        const __m128i rows03 =
+            _mm_unpacklo_epi16(_mm_unpacklo_epi8(r[0], r[1]),
+                               _mm_unpacklo_epi8(r[2], r[3]));
+        const __m128i rows47 =
+            _mm_unpacklo_epi16(_mm_unpacklo_epi8(r[4], r[5]),
+                               _mm_unpacklo_epi8(r[6], r[7]));
+        const __m128i p = _mm_unpacklo_epi32(rows03, rows47);  // p1 | p0
+        const __m128i q = _mm_unpackhi_epi32(rows03, rows47);  // q0 | q1
+        __m128i p0 = _mm_unpackhi_epi8(p, zero);
+        __m128i q0 = _mm_unpacklo_epi8(q, zero);
+        filterEdge8(_mm_unpacklo_epi8(p, zero), p0, q0,
+                    _mm_unpackhi_epi8(q, zero), lim);
+        const __m128i packed = _mm_packus_epi16(p0, q0);
+        // (p0, q0) byte pairs, row 0 in the lowest 16 bits.
+        const __m128i pairs =
+            _mm_unpacklo_epi8(packed, _mm_srli_si128(packed, 8));
+        uint64_t lo = static_cast<uint64_t>(_mm_cvtsi128_si64(pairs));
+        uint64_t hi = static_cast<uint64_t>(
+            _mm_cvtsi128_si64(_mm_unpackhi_epi64(pairs, pairs)));
+        for (int k = 0; k < 4; ++k, lo >>= 16, hi >>= 16) {
+            const uint16_t a = static_cast<uint16_t>(lo);
+            const uint16_t b = static_cast<uint16_t>(hi);
+            std::memcpy(base + k * stride + 1, &a, 2);
+            std::memcpy(base + (k + 4) * stride + 1, &b, 2);
         }
-        int delta = ((q0 - p0) * 4 + (p1 - q1) + 4) >> 3;
-        delta = delta < -tc ? -tc : (delta > tc ? tc : delta);
-        q0_ptr[-stride] = clamp255(p0 + delta);
-        q0_ptr[0] = clamp255(q0 - delta);
     }
+    for (; i < n; ++i)
+        filterEdgeSample(q0_col + i * stride, 1, alpha, beta, tc);
 }
 
 // ----- Metrics -----------------------------------------------------
@@ -751,7 +1019,10 @@ sse2Ops()
         t.dequant4x4 = dequant4x4Sse2;
         t.diffBlock = diffBlockSse2;
         t.addClampBlock = addClampBlockSse2;
+        t.quantBlock = quantBlockSse2;
+        t.reconBlock = reconBlockSse2;
         t.deblockEdgeH = deblockEdgeHSse2;
+        t.deblockEdgeV = deblockEdgeVSse2;
         t.sse8 = sse8Sse2;
         t.ssimWindowSums = ssimWindowSumsSse2;
         return t;

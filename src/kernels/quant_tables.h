@@ -4,11 +4,13 @@
  * @file
  * Per-position quantization multipliers (MF) and rescale factors (V)
  * from the H.264 reference construction, shared by the scalar and
- * vector quant/dequant kernels and by codec/transform.cc's DC helpers.
+ * vector quant/dequant kernels, codec/transform.cc's DC helpers and
+ * NGC's DC quantizer.
  * Positions fall in three classes by parity: (even,even) -> a,
  * (odd,odd) -> b, mixed -> c.
  */
 
+#include <array>
 #include <cstdint>
 
 namespace vbench::kernels {
@@ -46,6 +48,38 @@ posClass(int i)
     if (!r_even && !c_even)
         return 1;
     return 2;
+}
+
+/** A per-class table spread over the 16 raster positions of a 4x4 block. */
+template <typename T>
+constexpr std::array<std::array<T, 16>, 6>
+byPosition(const int (&table)[6][3])
+{
+    std::array<std::array<T, 16>, 6> out{};
+    for (int rem = 0; rem < 6; ++rem)
+        for (int i = 0; i < 16; ++i)
+            out[rem][i] = static_cast<T>(table[rem][posClass(i)]);
+    return out;
+}
+
+/**
+ * kQuantMf and kDequantV by raster position, one row per qp % 6, so a
+ * vector kernel loads its multipliers instead of assembling them.
+ * Every value fits int16 (the largest MF is 13107).
+ */
+inline constexpr auto kQuantMfPos = byPosition<int32_t>(kQuantMf);
+inline constexpr auto kQuantMfPos16 = byPosition<int16_t>(kQuantMf);
+inline constexpr auto kDequantVPos16 = byPosition<int16_t>(kDequantV);
+
+/**
+ * Quantizer rounding offset at qbits = 15 + qp / 6: a third of a step
+ * for intra, a sixth for inter. Constant divisors, so no division
+ * instruction; qbits <= 23 for qp <= 51 keeps it in int32.
+ */
+inline constexpr int32_t
+quantRound(int qbits, bool intra)
+{
+    return intra ? (1 << qbits) / 3 : (1 << qbits) / 6;
 }
 
 } // namespace vbench::kernels

@@ -544,13 +544,9 @@ class NgcPolicy final : public codec::BlockPolicy
                     }
                 }
             } else {
-                int16_t residual[16];
-                kernels::ops().diffBlock(splane.row(cy) + cx,
-                                         splane.width(), pred_c, 4,
-                                         residual, 4, 4, 4);
-                int32_t coefs[16];
-                codec::forwardTransform4x4(residual, coefs);
-                nonzero += codec::quantize4x4(coefs, lv, qp_, intra);
+                nonzero += kernels::ops().quantBlock(
+                    splane.row(cy) + cx, splane.width(), pred_c, 4, 4, qp_,
+                    intra, lv);
                 lv += 16;
             }
         }

@@ -18,7 +18,7 @@
 #include "codec/recon.h"
 #include "codec/residual.h"
 #include "codec/syntax.h"
-#include "codec/transform.h"
+#include "kernels/kernel_ops.h"
 #include "ngc/ngc_types.h"
 #include "ngc/transform8.h"
 #include "video/frame.h"
@@ -194,10 +194,8 @@ reconstructCu(video::Frame &recon, int x, int y, int size, int qp,
         video::Plane &rplane = plane == 0 ? recon.u() : recon.v();
         const uint8_t *pred_c = plane == 0 ? pred_u : pred_v;
         if (ctus == 0) {
-            int32_t coefs[16];
-            codec::dequantize4x4(levels, coefs, qp);
-            codec::inverseTransform4x4(coefs, residual);
-            codec::addResidual(rplane, cx, cy, 4, pred_c, 4, residual, 4);
+            kernels::ops().reconBlock(pred_c, 4, levels, 4, qp,
+                                      rplane.row(cy) + cx, rplane.width());
             levels += 16;
             ++inv_blocks;
         }

@@ -2,6 +2,7 @@
 
 #include "codec/transform.h"
 #include "kernels/kernel_ops.h"
+#include "kernels/quant_tables.h"
 
 namespace vbench::ngc {
 
@@ -34,7 +35,7 @@ forwardTransform8x8(const int16_t residual[64], int16_t dc_levels[4],
 
     const int rem = qp % 6;
     const int qbits = 15 + qp / 6;
-    const int64_t f = (1ll << qbits) / (intra ? 3 : 6);
+    const int64_t f = kernels::quantRound(qbits, intra);
     const int mf = codec::quantMfDc(rem);
     int nonzero = 0;
     for (int i = 0; i < 4; ++i) {

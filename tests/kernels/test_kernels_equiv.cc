@@ -404,6 +404,286 @@ TEST(KernelsEquiv, DeblockEdgeH)
     }
 }
 
+namespace {
+
+// The deblocking filter's H.264 thresholds (codec/deblock.cc), qp 16-51.
+constexpr int kDeblockAlpha[36] = {
+    4, 4, 5, 6, 7, 8, 9, 10, 12, 13, 15, 17, 20, 22, 25, 28, 32, 36,
+    40, 45, 50, 56, 63, 71, 80, 90, 101, 113, 127, 144, 162, 182, 203,
+    226, 255, 255,
+};
+constexpr int kDeblockBeta[36] = {
+    2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 6, 6, 7, 7, 8, 8, 9, 9,
+    10, 10, 11, 11, 12, 12, 13, 13, 14, 14, 15, 15, 16, 16, 17, 17, 18, 18,
+};
+
+/** v clamped to a byte. */
+uint8_t
+toByte(int v)
+{
+    return static_cast<uint8_t>(v < 0 ? 0 : (v > 255 ? 255 : v));
+}
+
+} // namespace
+
+TEST(KernelsEquiv, DeblockEdgeV)
+{
+    Rng rng(21);
+    const KernelOps &ref = *scalarOps();
+    std::vector<int> heights;
+    for (int n = 1; n <= 17; ++n)
+        heights.push_back(n);
+    heights.push_back(32);
+    for (const KernelOps *vec : vectorBackends()) {
+        for (int qp = 16; qp <= 51; ++qp) {
+            const int alpha = kDeblockAlpha[qp - 16];
+            const int beta = kDeblockBeta[qp - 16];
+            for (int bs = 1; bs <= 2; ++bs) {
+                const int tc = 1 + (qp >> 3) + bs;
+                for (const int n : heights) {
+                    // Odd and even strides; the buffer ends exactly at
+                    // the last row's q1.
+                    const int stride = 4 + static_cast<int>(rng.below(9));
+                    const size_t size =
+                        static_cast<size_t>(n - 1) * stride + 4;
+                    std::vector<uint8_t> want = randomBytes(rng, size);
+                    for (int r = 0; r < n; ++r) {
+                        uint8_t *row = want.data() + r * stride;
+                        if (rng.below(4) == 0)
+                            continue;  // keep a random row
+                        // Steps that straddle alpha and beta.
+                        const int p0 = static_cast<int>(rng.below(256));
+                        const int sign = rng.below(2) ? 1 : -1;
+                        row[1] = static_cast<uint8_t>(p0);
+                        row[2] = toByte(
+                            p0 + sign * (alpha - 1 +
+                                         static_cast<int>(rng.below(3))));
+                        row[0] = toByte(
+                            p0 + (rng.below(2) ? 1 : -1) *
+                                     (beta - 1 +
+                                      static_cast<int>(rng.below(3))));
+                        row[3] = toByte(
+                            row[2] + (rng.below(2) ? 1 : -1) *
+                                         (beta - 1 +
+                                          static_cast<int>(rng.below(3))));
+                    }
+                    std::vector<uint8_t> got = want;
+                    ref.deblockEdgeV(want.data() + 2, stride, n, alpha,
+                                     beta, tc);
+                    vec->deblockEdgeV(got.data() + 2, stride, n, alpha,
+                                      beta, tc);
+                    EXPECT_EQ(want, got)
+                        << vec->name << " qp=" << qp << " bs=" << bs
+                        << " n=" << n << " stride=" << stride;
+                }
+            }
+        }
+    }
+}
+
+TEST(KernelsEquiv, DeblockEdgeVMatchesHorizontalKernel)
+{
+    // The vertical edge is the horizontal one transposed: filter the
+    // same samples both ways through the scalar reference.
+    Rng rng(22);
+    const KernelOps &ref = *scalarOps();
+    for (int trial = 0; trial < 200; ++trial) {
+        const int n = 1 + static_cast<int>(rng.below(32));
+        std::vector<uint8_t> cols(static_cast<size_t>(n) * 4);
+        for (auto &v : cols)
+            v = static_cast<uint8_t>(100 + rng.below(24));
+        std::vector<uint8_t> rows(cols.size());
+        for (int i = 0; i < n; ++i)
+            for (int k = 0; k < 4; ++k)
+                rows[static_cast<size_t>(k) * n + i] = cols[i * 4 + k];
+        const int alpha = 1 + static_cast<int>(rng.below(40));
+        const int beta = 1 + static_cast<int>(rng.below(12));
+        const int tc = 1 + static_cast<int>(rng.below(9));
+        ref.deblockEdgeV(cols.data() + 2, 4, n, alpha, beta, tc);
+        ref.deblockEdgeH(rows.data() + 2 * n, n, n, alpha, beta, tc);
+        for (int i = 0; i < n; ++i)
+            for (int k = 0; k < 4; ++k)
+                ASSERT_EQ(cols[i * 4 + k],
+                          rows[static_cast<size_t>(k) * n + i])
+                    << "trial " << trial << " row " << i << " col " << k;
+    }
+}
+
+namespace {
+
+/** quantBlock's definition: diff -> fwdTx4x4 -> quant4x4 per 4x4. */
+int
+quantBlockReference(const uint8_t *src, int src_stride, const uint8_t *pred,
+                    int pred_stride, int n, int qp, bool intra,
+                    int16_t *levels)
+{
+    const KernelOps &k = *scalarOps();
+    int nonzero = 0;
+    for (int by = 0; by < n; by += 4) {
+        for (int bx = 0; bx < n; bx += 4, levels += 16) {
+            int16_t residual[16];
+            int32_t coefs[16];
+            k.diffBlock(src + by * src_stride + bx, src_stride,
+                        pred + by * pred_stride + bx, pred_stride, residual,
+                        4, 4, 4);
+            k.fwdTx4x4(residual, coefs);
+            nonzero += k.quant4x4(coefs, levels, qp, intra);
+        }
+    }
+    return nonzero;
+}
+
+/** reconBlock's definition: dequant -> invTx4x4 -> addClamp per 4x4. */
+int
+reconBlockReference(const uint8_t *pred, int pred_stride,
+                    const int16_t *levels, int n, int qp, uint8_t *dst,
+                    int dst_stride)
+{
+    const KernelOps &k = *scalarOps();
+    int coded = 0;
+    for (int by = 0; by < n; by += 4) {
+        for (int bx = 0; bx < n; bx += 4, levels += 16) {
+            bool any = false;
+            for (int i = 0; i < 16; ++i)
+                any = any || levels[i] != 0;
+            coded += any;
+            int32_t coefs[16];
+            int16_t residual[16];
+            k.dequant4x4(levels, coefs, qp);
+            k.invTx4x4(coefs, residual);
+            k.addClampBlock(pred + by * pred_stride + bx, pred_stride,
+                            residual, 4, dst + by * dst_stride + bx,
+                            dst_stride, 4, 4);
+        }
+    }
+    return coded;
+}
+
+/** Every table, scalar included: the block kernels are compositions. */
+std::vector<const KernelOps *>
+allBackends()
+{
+    std::vector<const KernelOps *> out{scalarOps()};
+    for (const KernelOps *t : vectorBackends())
+        out.push_back(t);
+    return out;
+}
+
+} // namespace
+
+TEST(KernelsEquiv, QuantBlock)
+{
+    Rng rng(23);
+    for (const int n : {4, 8, 16}) {
+        for (int qp = 0; qp <= 51; ++qp) {
+            for (const bool intra : {false, true}) {
+                for (int pattern = 0; pattern < 4; ++pattern) {
+                    // Buffers end exactly at the block's last sample.
+                    const int s_stride = n + static_cast<int>(rng.below(7));
+                    const int p_stride = n + static_cast<int>(rng.below(7));
+                    std::vector<uint8_t> src = randomBytes(
+                        rng, static_cast<size_t>(n - 1) * s_stride + n);
+                    std::vector<uint8_t> pred = randomBytes(
+                        rng, static_cast<size_t>(n - 1) * p_stride + n);
+                    for (int r = 0; r < n; ++r) {
+                        for (int c = 0; c < n; ++c) {
+                            uint8_t &s = src[r * s_stride + c];
+                            uint8_t &p = pred[r * p_stride + c];
+                            switch (pattern) {
+                            case 0:  // all +255
+                                s = 255, p = 0;
+                                break;
+                            case 1:  // all -255
+                                s = 0, p = 255;
+                                break;
+                            case 2:  // +-255 at random
+                                s = rng.below(2) ? 255 : 0;
+                                p = static_cast<uint8_t>(255 - s);
+                                break;
+                            default:  // random residual
+                                break;
+                            }
+                        }
+                    }
+                    const int count = (n / 4) * (n / 4) * 16;
+                    std::vector<int16_t> want(count, 0x5A5A);
+                    const int want_nz = quantBlockReference(
+                        src.data(), s_stride, pred.data(), p_stride, n, qp,
+                        intra, want.data());
+                    for (const KernelOps *k : allBackends()) {
+                        std::vector<int16_t> got(count, 0x5A5A);
+                        const int got_nz = k->quantBlock(
+                            src.data(), s_stride, pred.data(), p_stride, n,
+                            qp, intra, got.data());
+                        EXPECT_EQ(want_nz, got_nz)
+                            << k->name << " n=" << n << " qp=" << qp
+                            << " intra=" << intra << " pattern=" << pattern;
+                        EXPECT_EQ(want, got)
+                            << k->name << " n=" << n << " qp=" << qp
+                            << " intra=" << intra << " pattern=" << pattern;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(KernelsEquiv, ReconBlock)
+{
+    Rng rng(24);
+    for (const int n : {4, 8, 16}) {
+        for (int qp = 0; qp <= 51; ++qp) {
+            for (int pattern = 0; pattern < 4; ++pattern) {
+                const int p_stride = n + static_cast<int>(rng.below(7));
+                const int d_stride = n + static_cast<int>(rng.below(7));
+                const std::vector<uint8_t> pred = randomBytes(
+                    rng, static_cast<size_t>(n - 1) * p_stride + n);
+                const int count = (n / 4) * (n / 4) * 16;
+                std::vector<int16_t> levels(count, 0);
+                for (int b = 0; b < count / 16; ++b) {
+                    int16_t *blk = levels.data() + b * 16;
+                    // Per block: all zero, a single nonzero, or random
+                    // int16 levels with the parser's extremes mixed in.
+                    const int kind =
+                        pattern == 3 ? static_cast<int>(rng.below(3))
+                                     : pattern;
+                    if (kind == 1) {
+                        blk[rng.below(16)] = static_cast<int16_t>(
+                            rng.below(2) ? 32767 : -32767);
+                    } else if (kind == 2) {
+                        for (int i = 0; i < 16; ++i) {
+                            const uint64_t pick = rng.below(8);
+                            blk[i] = pick == 0
+                                ? 32767
+                                : pick == 1 ? -32767
+                                            : static_cast<int16_t>(
+                                                  rng.range(-32767, 32767));
+                        }
+                    }
+                }
+                const size_t dst_size =
+                    static_cast<size_t>(n - 1) * d_stride + n;
+                std::vector<uint8_t> want(dst_size, 0x33);
+                const int want_coded =
+                    reconBlockReference(pred.data(), p_stride, levels.data(),
+                                        n, qp, want.data(), d_stride);
+                for (const KernelOps *k : allBackends()) {
+                    std::vector<uint8_t> got(dst_size, 0x33);
+                    const int got_coded =
+                        k->reconBlock(pred.data(), p_stride, levels.data(),
+                                      n, qp, got.data(), d_stride);
+                    EXPECT_EQ(want_coded, got_coded)
+                        << k->name << " n=" << n << " qp=" << qp
+                        << " pattern=" << pattern;
+                    EXPECT_EQ(want, got) << k->name << " n=" << n
+                                         << " qp=" << qp
+                                         << " pattern=" << pattern;
+                }
+            }
+        }
+    }
+}
+
 TEST(KernelsEquiv, Sse8)
 {
     Rng rng(18);
