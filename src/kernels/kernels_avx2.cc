@@ -1033,12 +1033,12 @@ reconPair(const uint8_t *pred, int pred_stride, const int16_t *lv,
     }
     // Dequantize: mullo/mulhi halves interleave into the exact int32
     // products, rows 0 and 1 (then 2 and 3) of both blocks.
+    const __m256i rows[2] = {_mm256_permute2x128_si256(l0, l1, 0x20),
+                             _mm256_permute2x128_si256(l0, l1, 0x31)};
     __m256i c[4];
     for (int half = 0; half < 2; ++half) {
-        const __m256i rows = _mm256_permute2x128_si256(
-            l0, l1, half == 0 ? 0x20 : 0x31);
-        const __m256i lo = _mm256_mullo_epi16(rows, v);
-        const __m256i hi = _mm256_mulhi_epi16(rows, v);
+        const __m256i lo = _mm256_mullo_epi16(rows[half], v);
+        const __m256i hi = _mm256_mulhi_epi16(rows[half], v);
         c[half * 2] = _mm256_sll_epi32(_mm256_unpacklo_epi16(lo, hi), shift);
         c[half * 2 + 1] =
             _mm256_sll_epi32(_mm256_unpackhi_epi16(lo, hi), shift);
