@@ -1,6 +1,7 @@
 #include "core/transcoder.h"
 
 #include <cassert>
+#include <cmath>
 #include <sstream>
 
 #include "codec/bitstream.h"
@@ -15,6 +16,55 @@
 #include "sched/frame_threads.h"
 
 namespace vbench::core {
+
+namespace {
+
+/**
+ * Check an explicit tool set against the span each field takes across
+ * the effort presets (codec/preset.cc), the hardware models' silicon
+ * tool sets (hwenc/hwenc.cc) and the ablation benches. Nothing outside
+ * it was built or measured, and an unbounded search range would never
+ * finish. Returns the empty string when every field is in its span.
+ */
+std::string
+checkTools(const codec::ToolPreset &t)
+{
+    struct Span {
+        const char *field;
+        int value;
+        int lo;
+        int hi;
+    };
+    const Span spans[] = {
+        {"search", static_cast<int>(t.search),
+         static_cast<int>(codec::SearchKind::Diamond),
+         static_cast<int>(codec::SearchKind::Full)},
+        {"range", t.range, 8, 32},
+        {"subpel_iters", t.subpel_iters, 0, 3},
+        {"refs", t.refs, 1, 4},
+        {"rdo", t.rdo, 0, 2},
+        {"entropy", static_cast<int>(t.entropy),
+         static_cast<int>(codec::EntropyMode::Vlc),
+         static_cast<int>(codec::EntropyMode::Arith)},
+        {"intra_modes", t.intra_modes, 2, codec::kNumIntraModes},
+    };
+    std::ostringstream err;
+    for (const Span &s : spans) {
+        if (s.value < s.lo || s.value > s.hi) {
+            err << "tools_override." << s.field << " " << s.value
+                << " out of range [" << s.lo << ", " << s.hi << "]";
+            return err.str();
+        }
+    }
+    if (!std::isfinite(t.early_skip_scale) || t.early_skip_scale < 0) {
+        err << "tools_override.early_skip_scale " << t.early_skip_scale
+            << " is not finite and non-negative";
+        return err.str();
+    }
+    return std::string();
+}
+
+} // namespace
 
 const char *
 toString(EncoderKind kind)
@@ -70,6 +120,10 @@ TranscodeRequest::validate() const
         err << "deblock_override " << deblock_override
             << " is not -1 (auto), 0 (off), or 1 (on)";
         return err.str();
+    }
+    if (tools_override) {
+        if (std::string bad = checkTools(*tools_override); !bad.empty())
+            return bad;
     }
     if (frame_threads < 0 || frame_threads > sched::kMaxFrameThreads) {
         err << "frame_threads " << frame_threads << " out of range [0, "
@@ -148,7 +202,7 @@ makeUniversalStream(const video::Video &original, int segment_frames)
 }
 
 TranscodeOutcome
-transcode(const codec::ByteBuffer &input, const video::Video &original,
+transcode(const codec::ByteBuffer &input, const video::Video *original,
           const TranscodeRequest &request)
 {
     TranscodeOutcome outcome;
@@ -223,7 +277,7 @@ transcode(const codec::ByteBuffer &input, const video::Video &original,
     outcome.stages.set(obs::Stage::DecodeInput,
                        obs::nowSeconds() - start);
     if (!decoded_input) {
-        outcome.error = "input stream undecodable";
+        outcome.error = kUndecodableInput;
         return outcome;
     }
     if (cancelled()) {
@@ -276,12 +330,15 @@ transcode(const codec::ByteBuffer &input, const video::Video &original,
         return outcome;
     }
 
+    // With no pristine frames, the input the encode ran on is the
+    // quality baseline: the same frames a second decode would give.
     const double measure_start = obs::nowSeconds();
     {
         obs::ScopedSpan span(tracer, obs::Track::Transcode,
                              obs::Stage::Measure);
-        outcome.m = measure(original, *decoded_output,
-                            outcome.stream.size(), outcome.seconds);
+        outcome.m = measure(original ? *original : *decoded_input,
+                            *decoded_output, outcome.stream.size(),
+                            outcome.seconds);
     }
     outcome.stages.set(obs::Stage::Measure,
                        obs::nowSeconds() - measure_start);

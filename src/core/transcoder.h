@@ -13,6 +13,7 @@
 #include <atomic>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "codec/preset.h"
 #include "codec/ratecontrol.h"
@@ -54,7 +55,8 @@ struct TranscodeRequest {
     /// VBC deblocking override (-1 auto, else 0/1), for ablations.
     int deblock_override = -1;
     /// Explicit VBC tool set bypassing the effort dial (ablations and
-    /// the frozen-silicon hardware models).
+    /// the frozen-silicon hardware models). validate() holds each
+    /// field to the span the effort presets and those users take.
     std::optional<codec::ToolPreset> tools_override;
     uarch::UarchProbe *probe = nullptr;
     /**
@@ -159,16 +161,31 @@ struct TranscodeOutcome {
     obs::CriticalPath critical_path;
 };
 
+/// TranscodeOutcome::error when the input stream does not decode.
+inline constexpr std::string_view kUndecodableInput =
+    "input stream undecodable";
+
 /**
  * Run one transcode.
  *
  * @param input a VBC universal-format stream (decoded as the first
  *        half of the transcode; its time is part of the measurement).
- * @param original pristine frames for the quality measurement.
+ * @param original pristine frames for the quality measurement, or
+ *        null to measure against the decoded input the encode ran on
+ *        (a remote worker, which has no pristine frames). The encoded
+ *        bytes do not depend on the reference.
  */
 TranscodeOutcome transcode(const codec::ByteBuffer &input,
-                           const video::Video &original,
+                           const video::Video *original,
                            const TranscodeRequest &request);
+
+/** transcode() against pristine frames the caller holds. */
+inline TranscodeOutcome
+transcode(const codec::ByteBuffer &input, const video::Video &original,
+          const TranscodeRequest &request)
+{
+    return transcode(input, &original, request);
+}
 
 /**
  * Produce the "universal format" upload stream for a clip: the

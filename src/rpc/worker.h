@@ -4,9 +4,14 @@
  * @file
  * The vbench_worker child's side of the rpc protocol: send Hello, then
  * serve Job frames one at a time — deserialize the SegmentJob, run
- * executeSegmentJob (no pristine reference travels on the wire; the
- * decoded input stands in, streams are byte-identical either way), and
- * answer with a Result frame — until a Shutdown frame or peer EOF.
+ * executeSegmentJob, and answer with a Result frame — until a Shutdown
+ * frame or peer EOF. No pristine reference travels on the wire, so a
+ * job validates its request, decodes the segment once, encodes,
+ * decodes its output, and measures PSNR against the decoded input;
+ * streams are byte-identical to an in-process run either way. The
+ * Result's `seconds` covers the input decode and the encode only, so
+ * the supervisor's round trip minus it still holds this child's
+ * output decode and PSNR as well as the wire.
  * Single-threaded by design: one worker process is one fleet slot, and
  * the supervisor owns all concurrency.
  */

@@ -5,8 +5,6 @@
 #include <memory>
 #include <utility>
 
-#include "codec/decoder.h"
-
 namespace vbench::service {
 
 namespace {
@@ -516,23 +514,15 @@ executeSegmentJob(const SegmentJob &job, const video::Video *original)
     res.rung = job.rung;
     res.segment_index = job.segment_index;
 
-    std::optional<video::Video> decoded;
-    if (original == nullptr) {
-        // No pristine reference travels on the wire; a remote worker
-        // measures quality against the decoded input instead. The
-        // encoded bytes do not depend on the reference at all.
-        decoded = codec::decode(job.input);
-        if (!decoded) {
-            res.error = "undecodable segment input";
-            return res;
-        }
-        original = &*decoded;
-    }
-
+    // No pristine reference travels on the wire: a remote worker
+    // passes null, and transcode() validates the request, decodes the
+    // input once, and measures quality against that decode.
     const core::TranscodeOutcome outcome =
-        core::transcode(job.input, *original, job.params);
+        core::transcode(job.input, original, job.params);
     res.ok = outcome.ok;
-    res.error = outcome.error;
+    res.error = outcome.error == core::kUndecodableInput
+        ? "undecodable segment input"
+        : outcome.error;
     res.stream = outcome.stream;
     res.rc_state = outcome.rc_state;
     res.critical_path = outcome.critical_path;

@@ -118,8 +118,11 @@ struct SegmentResult {
  * Execute a SegmentJob on this host. `original` supplies the pristine
  * quality reference when the caller has it (the local dispatcher
  * keeps the corpus in memory); a remote worker passes null and the
- * decoded input stands in — the encoded bytes are identical either
- * way, only the reported PSNR baseline differs.
+ * input the encode decoded stands in, so the segment is decoded once —
+ * the encoded bytes are identical either way, only the reported PSNR
+ * baseline differs. The request is validated before anything is
+ * decoded; an input that does not decode fails with
+ * "undecodable segment input".
  */
 SegmentResult executeSegmentJob(const SegmentJob &job,
                                 const video::Video *original = nullptr);

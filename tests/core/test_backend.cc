@@ -4,16 +4,19 @@
  * EncoderKind, encode()/decodeOutput() roundtrip, hardware backends
  * report modeled seconds, describe() names the configuration, and
  * TranscodeRequest::validate() rejects every malformed knob that
- * transcode() must fail fast on.
+ * transcode() must fail fast on, tool overrides included.
  */
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "codec/decoder.h"
+#include "codec/preset.h"
 #include "core/encoder_backend.h"
 #include "core/transcoder.h"
+#include "hwenc/hwenc.h"
 #include "metrics/psnr.h"
 #include "video/synth.h"
 
@@ -114,6 +117,19 @@ TEST(EncoderBackend, MatchesTranscodeOutput)
 TEST(RequestValidate, AcceptsDefaults)
 {
     EXPECT_TRUE(TranscodeRequest{}.validate().empty());
+    // So does every tool set the presets and hardware models use.
+    TranscodeRequest req;
+    for (int effort = 0; effort < codec::kNumEfforts; ++effort) {
+        req.tools_override = codec::presetForEffort(effort);
+        EXPECT_TRUE(req.validate().empty())
+            << "effort " << effort << ": " << req.validate();
+    }
+    for (const hwenc::HwEncoderSpec &spec :
+         {hwenc::nvencLikeSpec(), hwenc::qsvLikeSpec()}) {
+        req.tools_override = spec.tools;
+        EXPECT_TRUE(req.validate().empty())
+            << spec.name << ": " << req.validate();
+    }
 }
 
 TEST(RequestValidate, RejectsEveryBadKnob)
@@ -176,6 +192,58 @@ TEST(RequestValidate, RejectsEveryBadKnob)
     req = {};
     req.rc.min_qp = 77;
     expectInvalid(req, "rc.min_qp");
+
+    // Tool overrides: one step outside each field's span.
+    const auto withTools = [](void (*edit)(codec::ToolPreset &)) {
+        TranscodeRequest r;
+        codec::ToolPreset tools = codec::presetForEffort(5);
+        edit(tools);
+        r.tools_override = tools;
+        return r;
+    };
+    using T = codec::ToolPreset;
+    expectInvalid(withTools([](T &t) { t.search = codec::SearchKind{3}; }),
+                  "tools_override.search");
+    expectInvalid(withTools([](T &t) { t.range = 7; }),
+                  "tools_override.range");
+    expectInvalid(withTools([](T &t) { t.range = 33; }),
+                  "tools_override.range");
+    expectInvalid(withTools([](T &t) {
+                      t.range = std::numeric_limits<int>::max();
+                  }),
+                  "tools_override.range");
+    expectInvalid(withTools([](T &t) { t.subpel_iters = -1; }),
+                  "tools_override.subpel_iters");
+    expectInvalid(withTools([](T &t) { t.subpel_iters = 4; }),
+                  "tools_override.subpel_iters");
+    expectInvalid(withTools([](T &t) { t.refs = 0; }),
+                  "tools_override.refs");
+    expectInvalid(withTools([](T &t) { t.refs = 5; }),
+                  "tools_override.refs");
+    expectInvalid(withTools([](T &t) { t.rdo = -1; }),
+                  "tools_override.rdo");
+    expectInvalid(withTools([](T &t) { t.rdo = 3; }),
+                  "tools_override.rdo");
+    expectInvalid(withTools([](T &t) { t.entropy = codec::EntropyMode{2}; }),
+                  "tools_override.entropy");
+    expectInvalid(withTools([](T &t) { t.intra_modes = 1; }),
+                  "tools_override.intra_modes");
+    expectInvalid(withTools([](T &t) {
+                      t.intra_modes = codec::kNumIntraModes + 1;
+                  }),
+                  "tools_override.intra_modes");
+    expectInvalid(withTools([](T &t) { t.early_skip_scale = -0.5; }),
+                  "tools_override.early_skip_scale");
+    expectInvalid(withTools([](T &t) {
+                      t.early_skip_scale =
+                          std::numeric_limits<double>::quiet_NaN();
+                  }),
+                  "tools_override.early_skip_scale");
+    expectInvalid(withTools([](T &t) {
+                      t.early_skip_scale =
+                          std::numeric_limits<double>::infinity();
+                  }),
+                  "tools_override.early_skip_scale");
 }
 
 TEST(RequestValidate, IgnoresKnobsTheModeDoesNotRead)

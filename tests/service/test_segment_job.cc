@@ -5,15 +5,19 @@
  * corrupted messages (bad magic, unknown version, truncation at every
  * prefix, trailing bytes, out-of-range enums), and the execution
  * contract — a worker holding only the serialized bytes produces the
- * same encoded stream as the local dispatcher with the corpus in hand.
+ * same encoded stream as the local dispatcher with the corpus in hand,
+ * judges the request before it decodes anything, and measures quality
+ * against the one decode of its input.
  */
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "codec/decoder.h"
+#include "codec/preset.h"
 #include "core/transcoder.h"
 #include "service/segment_job.h"
 #include "service/workload.h"
@@ -415,6 +419,59 @@ TEST(SegmentJobExecute, UndecodableInputFailsCleanly)
     const SegmentResult res = executeSegmentJob(job, nullptr);
     EXPECT_FALSE(res.ok);
     EXPECT_EQ(res.error, "undecodable segment input");
+}
+
+TEST(SegmentJobExecute, WithoutReferenceMeasuresAgainstTheDecodedInput)
+{
+    // The worker decodes its input once and measures against the frames
+    // the encode ran on: the same PSNR as a transcode measured against
+    // a separate decode of the same bytes.
+    const CorpusClip &clip = testClip();
+    const SegmentJob job = encodeJob(clip, 1);
+    const auto decoded = codec::decode(job.input);
+    ASSERT_TRUE(decoded.has_value());
+    const core::TranscodeOutcome direct =
+        core::transcode(job.input, *decoded, job.params);
+    ASSERT_TRUE(direct.ok) << direct.error;
+
+    const SegmentResult res = executeSegmentJob(job, nullptr);
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(res.stream, direct.stream);
+    EXPECT_DOUBLE_EQ(res.m.psnr_db, direct.m.psnr_db);
+    EXPECT_DOUBLE_EQ(res.m.bitrate_bpps, direct.m.bitrate_bpps);
+}
+
+TEST(SegmentJobExecute, ValidatesTheRequestBeforeDecoding)
+{
+    // Both invalid and undecodable: the request is judged first.
+    SegmentJob job;
+    job.input = {0x00, 0x01, 0x02};
+    job.params.effort = -1;
+    const SegmentResult res = executeSegmentJob(job, nullptr);
+    EXPECT_FALSE(res.ok);
+    EXPECT_EQ(res.error.rfind("invalid request: ", 0), 0u) << res.error;
+}
+
+TEST(SegmentJobExecute, OutOfRangeToolOverrideFailsCleanly)
+{
+    // Off the wire, an exhaustive search with an unbounded range: the
+    // worker must refuse it, not run a raster scan that never ends.
+    const CorpusClip &clip = testClip();
+    SegmentJob job = encodeJob(clip, 0);
+    codec::ToolPreset tools = codec::presetForEffort(9);
+    tools.search = codec::SearchKind::Full;
+    tools.range = std::numeric_limits<int>::max();
+    job.params.tools_override = tools;
+
+    std::string error;
+    const auto wire = SegmentJob::deserialize(job.serialize(), &error);
+    ASSERT_TRUE(wire.has_value()) << error;
+    const SegmentResult res = executeSegmentJob(*wire, nullptr);
+    EXPECT_FALSE(res.ok);
+    EXPECT_EQ(res.error.rfind("invalid request: ", 0), 0u) << res.error;
+    EXPECT_NE(res.error.find("tools_override.range"), std::string::npos)
+        << res.error;
+    EXPECT_TRUE(res.stream.empty());
 }
 
 TEST(SegmentJobExecute, ToTranscodeJobCarriesLabelInputAndParams)
