@@ -2,15 +2,17 @@
  * @file
  * Pixel-kernel micro-benchmarks over the runtime dispatch tables.
  *
- * Default mode times every kernel once per ISA level available on the
- * host, prints a table, and writes BENCH_kernels.json with ns/op and
- * speedup-vs-scalar per kernel per ISA, plus an end-to-end encode
- * timing per ISA (the minimum and median of repeated encodes,
+ * Default mode times every kernel at each ISA level available on the
+ * host in repeated rounds, the ISAs taking turns, prints a table, and
+ * writes BENCH_kernels.json with ns/op (minimum and median over the
+ * rounds) and speedup-vs-scalar per kernel per ISA, plus an end-to-end
+ * encode timing per ISA (the minimum and median of repeated encodes,
  * interleaved across ISAs). Two auxiliary modes support
  * scripts/check.sh:
  *
- *   --smoke   quick randomized scalar-vs-vector equivalence check;
- *             exits nonzero on any mismatch.
+ *   --smoke   quick randomized scalar-vs-vector equivalence check, plus
+ *             half-pel planes against block interpolation at every
+ *             ISA; exits nonzero on any mismatch.
  *   --digest  encode a deterministic synthetic clip with both codecs
  *             (VBC at efforts 2 and 9 and NGC VP9-like at speed 0, so
  *             the exhaustive search runs at block sizes 8, 16 and 32
@@ -34,11 +36,13 @@
 #include "bench/bench_util.h"
 #include "codec/decoder.h"
 #include "codec/encoder.h"
+#include "codec/refplane.h"
 #include "kernels/kernel_ops.h"
 #include "metrics/psnr.h"
 #include "metrics/ssim.h"
 #include "ngc/ngc_decoder.h"
 #include "ngc/ngc_encoder.h"
+#include "video/plane.h"
 #include "video/rng.h"
 #include "video/synth.h"
 
@@ -75,10 +79,19 @@ struct BenchData {
     int16_t levels16[16];
     int16_t levels256[256];  ///< a 16x16 block's quantBlock levels
     uint32_t offsets[64];
+    /// A 640x360 encode's padded luma reference (640x368), whose
+    /// half-pel planes the half_pel_planes row rebuilds in place.
+    mutable codec::RefPlane reference;
 
     BenchData()
     {
         video::Rng rng(7);
+        video::Plane luma(640, 368);
+        for (int y = 0; y < luma.height(); ++y)
+            for (int x = 0; x < luma.width(); ++x)
+                luma.at(x, y) = static_cast<uint8_t>(rng.below(256));
+        reference.assign(luma);
+        reference.buildHalfPel();  // allocate outside the timed runs
         plane_a.resize(static_cast<size_t>(stride) * height);
         plane_b.resize(plane_a.size());
         for (size_t i = 0; i < plane_a.size(); ++i) {
@@ -208,6 +221,15 @@ kernelBenches()
                            k.interpHV(d.plane_a.data() + d.offsets[i & 63],
                                       d.stride, dst, 16, 16, 16);
                        g_sink = g_sink + dst[0];
+                   }});
+    // What an encode that searches sub-pel positions adds per P frame
+    // in place of interpolating candidates one by one.
+    out.push_back({"half_pel_planes", [](const KernelOps &k,
+                                         const BenchData &d, long iters) {
+                       kernels::ScopedKernelIsa pin(k.isa);
+                       for (long i = 0; i < iters; ++i)
+                           d.reference.buildHalfPel();
+                       g_sink = g_sink + *d.reference.phasePtr(3, 0, 0);
                    }});
     out.push_back({"fwd_tx4x4", [](const KernelOps &k, const BenchData &d,
                                    long iters) {
@@ -340,38 +362,32 @@ kernelBenches()
     return out;
 }
 
-/**
- * ns per op: grow the repetition count until one timed run exceeds
- * ~8 ms, then report the best of three runs at that count.
- */
+/** ns per op of one timed run of `iters` ops. */
 double
-measureNsPerOp(const KernelOps &k, const BenchData &d, const BenchFn &fn)
+timeNsPerOp(const KernelOps &k, const BenchData &d, const BenchFn &fn,
+            long iters)
 {
-    fn(k, d, 256); // warmup
-    long iters = 256;
-    double elapsed_ns = 0;
-    for (;;) {
-        const auto t0 = Clock::now();
-        fn(k, d, iters);
-        elapsed_ns =
-            std::chrono::duration<double, std::nano>(Clock::now() - t0)
-                .count();
-        if (elapsed_ns > 8e6 || iters > (1l << 28))
-            break;
+    const auto t0 = Clock::now();
+    fn(k, d, iters);
+    return std::chrono::duration<double, std::nano>(Clock::now() - t0)
+               .count() /
+        static_cast<double>(iters);
+}
+
+/**
+ * Repetition count that makes one timed run take over ~4 ms. The
+ * shorter runs before it warm the caches; rows whose op takes most of
+ * a millisecond (half_pel_planes at scalar) stop after a few ops.
+ */
+long
+calibrateIters(const KernelOps &k, const BenchData &d, const BenchFn &fn)
+{
+    long iters = 1;
+    while (timeNsPerOp(k, d, fn, iters) * static_cast<double>(iters) <
+               4e6 &&
+           iters <= (1l << 28))
         iters *= 4;
-    }
-    double best = elapsed_ns / static_cast<double>(iters);
-    for (int rep = 0; rep < 2; ++rep) {
-        const auto t0 = Clock::now();
-        fn(k, d, iters);
-        const double ns =
-            std::chrono::duration<double, std::nano>(Clock::now() - t0)
-                .count() /
-            static_cast<double>(iters);
-        if (ns < best)
-            best = ns;
-    }
-    return best;
+    return iters;
 }
 
 video::Video
@@ -622,6 +638,47 @@ runSmoke()
             check(e1 == e2, k->name, "deblockEdgeV");
         }
     }
+    // Half-pel planes built at every ISA, scalar included: each phase
+    // plane's block at a random position anywhere motionCompensate may
+    // read equals the scalar copy2d / interpH / interpV / interpHV of
+    // that block of the reference.
+    for (const Isa isa : availableLevels()) {
+        kernels::ScopedKernelIsa pin(isa);
+        const int w = 16 + static_cast<int>(rng.below(100));
+        const int h = 16 + static_cast<int>(rng.below(60));
+        video::Plane luma(w, h);
+        for (int y = 0; y < h; ++y)
+            for (int x = 0; x < w; ++x)
+                luma.at(x, y) = static_cast<uint8_t>(rng.below(256));
+        codec::RefPlane ref(luma);
+        ref.buildHalfPel();
+        const int lo = -codec::kRefPad + 1;
+        decltype(scalar->interpH) filters[4] = {
+            scalar->copy2d, scalar->interpH, scalar->interpV,
+            scalar->interpHV};
+        for (int trial = 0; trial < 64; ++trial) {
+            const int bw = 1 + static_cast<int>(rng.below(32));
+            const int bh = 1 + static_cast<int>(rng.below(32));
+            // Block origins lo .. size + kRefPad - block - 1.
+            const int ix = lo + static_cast<int>(rng.below(
+                                    static_cast<uint64_t>(
+                                        w + codec::kRefPad - bw - lo)));
+            const int iy = lo + static_cast<int>(rng.below(
+                                    static_cast<uint64_t>(
+                                        h + codec::kRefPad - bh - lo)));
+            const int phase = static_cast<int>(rng.below(4));
+            uint8_t want[32 * 32];
+            filters[phase](ref.ptr(ix, iy), ref.stride(), want, bw, bw, bh);
+            const uint8_t *got = ref.phasePtr(phase, ix, iy);
+            bool same = true;
+            for (int r = 0; r < bh; ++r)
+                same = same &&
+                    std::memcmp(got + r * ref.stride(), want + r * bw,
+                                static_cast<size_t>(bw)) == 0;
+            check(same, kernels::isaName(isa), "halfPelPlanes");
+        }
+    }
+
     if (failures == 0)
         std::printf("smoke: OK (%s active, %zu ISA levels)\n",
                     kernels::ops().name, availableLevels().size());
@@ -640,15 +697,44 @@ runBench(const std::string &json_path)
         std::printf("  %10s ns/op  speedup", kernels::isaName(isa));
     std::printf("\n");
 
-    // results[b][l] = ns/op for bench b at ISA level l.
-    std::vector<std::vector<double>> results(
-        benches.size(), std::vector<double>(levels.size(), 0.0));
+    // One timed run of a few ms reads the host's speed at that moment,
+    // so every row is timed in kRounds rounds: within a round each row
+    // runs once at every ISA, the ISAs taking turns (each round starting
+    // one ISA later), and the rounds spread each row's runs over the
+    // whole pass. A slow stretch of the host then lands on all rows and
+    // ISAs instead of setting one. The table reports each row's
+    // minimum; the JSON carries the median as well.
+    constexpr int kRounds = 9;
+    const size_t n_levels = levels.size();
+    std::vector<std::vector<long>> iters(benches.size(),
+                                         std::vector<long>(n_levels));
+    for (size_t b = 0; b < benches.size(); ++b)
+        for (size_t l = 0; l < n_levels; ++l)
+            iters[b][l] = calibrateIters(*kernels::opsFor(levels[l]), data,
+                                         benches[b].run);
+    // runs[b][l]: ns/op of each round's run of bench b at ISA level l.
+    std::vector<std::vector<std::vector<double>>> runs(
+        benches.size(), std::vector<std::vector<double>>(n_levels));
+    for (int round = 0; round < kRounds; ++round) {
+        for (size_t b = 0; b < benches.size(); ++b) {
+            for (size_t i = 0; i < n_levels; ++i) {
+                const size_t l = (i + static_cast<size_t>(round)) % n_levels;
+                runs[b][l].push_back(
+                    timeNsPerOp(*kernels::opsFor(levels[l]), data,
+                                benches[b].run, iters[b][l]));
+            }
+        }
+    }
+    std::vector<std::vector<double>> results(benches.size());
+    std::vector<std::vector<double>> medians(benches.size());
     for (size_t b = 0; b < benches.size(); ++b) {
-        for (size_t l = 0; l < levels.size(); ++l)
-            results[b][l] = measureNsPerOp(*kernels::opsFor(levels[l]),
-                                           data, benches[b].run);
+        for (std::vector<double> &r : runs[b]) {
+            std::sort(r.begin(), r.end());
+            results[b].push_back(r.front());
+            medians[b].push_back(r[r.size() / 2]);
+        }
         std::printf("%-18s", benches[b].name);
-        for (size_t l = 0; l < levels.size(); ++l)
+        for (size_t l = 0; l < n_levels; ++l)
             std::printf("  %16.1f  %6.2fx", results[b][l],
                         results[b][0] / results[b][l]);
         std::printf("\n");
@@ -697,10 +783,12 @@ runBench(const std::string &json_path)
                      benches[b].name);
         for (size_t l = 0; l < levels.size(); ++l)
             std::fprintf(f,
-                         "%s{\"isa\":\"%s\",\"ns_per_op\":%.3f,"
+                         "%s{\"isa\":\"%s\",\"runs\":%d,"
+                         "\"ns_per_op\":%.3f,\"median_ns_per_op\":%.3f,"
                          "\"speedup_vs_scalar\":%.3f}",
-                         l ? "," : "", kernels::isaName(levels[l]),
-                         results[b][l], results[b][0] / results[b][l]);
+                         l ? "," : "", kernels::isaName(levels[l]), kRounds,
+                         results[b][l], medians[b][l],
+                         results[b][0] / results[b][l]);
         std::fprintf(f, "]}");
     }
     std::fprintf(f, "],\"encode_e2e\":[");

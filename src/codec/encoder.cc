@@ -192,6 +192,8 @@ class VbcPolicy final : public BlockPolicy
         frame_qp_ = qp;
         if (type == FrameType::I)
             refs_.clear();
+        else if (tools_.subpel)
+            buildHalfPelPlanes(refs_);
         recon_ = Frame(padded_w_, padded_h_);
         grid_ = MbGrid(mb_cols_, mb_rows_);
         records_.resize(static_cast<size_t>(mb_cols_) * mb_rows_);
@@ -338,18 +340,23 @@ class VbcPolicy final : public BlockPolicy
         const MotionVector skip_mv = clampMvForBlock(
             pred_mv, x, y, kMbSize, kMbSize, padded_w_, padded_h_);
 
+        // The skip prediction, read in place (or interpolated once) for
+        // both the early-skip check and the skip candidate below.
+        uint8_t skip_scratch[kMbSize * kMbSize];
+        BlockRef skip_pred{};
+        const uint8_t *src_mb = src.y().row(y) + x;
+
         // --- Early skip: static content drops out immediately. ---
         if (type == FrameType::P && !refs_.empty()) {
             bool early_skip;
             {
                 obs::ScopedStage me_stage(wc.acc,
                                           obs::Stage::MotionEstimation);
-                uint8_t skip_pred[kMbSize * kMbSize];
-                motionCompensate(refs_[0].y, x, y, skip_mv, kMbSize,
-                                 kMbSize, skip_pred);
+                skip_pred = compensatedBlock(refs_[0].y, x, y, skip_mv,
+                                             kMbSize, kMbSize, skip_scratch);
                 const uint32_t skip_sad =
-                    sadBlock(src.y().row(y) + x, padded_w_, skip_pred,
-                             kMbSize, kMbSize, kMbSize);
+                    sadBlock(src_mb, padded_w_, skip_pred.data,
+                             skip_pred.stride, kMbSize, kMbSize);
                 const uint32_t threshold = static_cast<uint32_t>(
                     (160 + 24 * qp_mb) * tools_.early_skip_scale);
                 early_skip = skip_sad < threshold;
@@ -376,16 +383,13 @@ class VbcPolicy final : public BlockPolicy
             // a searched MV with marginal residual wins on SAD but
             // loses on rate, bloating high-effort encodes.
             {
-                uint8_t skip_pred[kMbSize * kMbSize];
-                motionCompensate(refs_[0].y, x, y, skip_mv, kMbSize,
-                                 kMbSize, skip_pred);
                 // Same distortion metric as the motion search's final
                 // scoring, or the candidates are not comparable.
                 const uint32_t sad = tools_.satd_subpel
-                    ? satdBlock(src.y().row(y) + x, padded_w_, skip_pred,
-                                kMbSize, kMbSize, kMbSize)
-                    : sadBlock(src.y().row(y) + x, padded_w_, skip_pred,
-                               kMbSize, kMbSize, kMbSize);
+                    ? satdBlock(src_mb, padded_w_, skip_pred.data,
+                                skip_pred.stride, kMbSize, kMbSize)
+                    : sadBlock(src_mb, padded_w_, skip_pred.data,
+                               skip_pred.stride, kMbSize, kMbSize);
                 ModeCandidate skip_cand;
                 skip_cand.mode = MbMode::Inter16;
                 skip_cand.mv[0] = skip_mv;

@@ -28,6 +28,32 @@ namespace vbench::codec {
 void motionCompensate(const RefPlane &ref, int x, int y, MotionVector mv,
                       int w, int h, uint8_t *out);
 
+/** A read-only block of samples, rows `stride` apart. */
+struct BlockRef {
+    const uint8_t *data;
+    int stride;
+};
+
+/**
+ * The block motionCompensate() would write, read in place where the
+ * reference holds it: a full-pel MV reads the plane itself, a half-pel
+ * MV the half-pel plane of its phase once RefPlane::buildHalfPel() has
+ * run. Otherwise the block is interpolated into `scratch` (w x h).
+ * Same position contract as motionCompensate().
+ */
+inline BlockRef
+compensatedBlock(const RefPlane &ref, int x, int y, MotionVector mv, int w,
+                 int h, uint8_t *scratch)
+{
+    const int phase = (mv.x & 1) + 2 * (mv.y & 1);
+    if (phase != 0 && !ref.hasHalfPel()) {
+        motionCompensate(ref, x, y, mv, w, h, scratch);
+        return {scratch, w};
+    }
+    return {ref.phasePtr(phase, x + (mv.x >> 1), y + (mv.y >> 1)),
+            ref.stride()};
+}
+
 /**
  * Inter prediction of the n x n block at (x, y), row-major into `pred`:
  * one MV for the whole block (parts = 1) or one per n/2 x n/2 quadrant

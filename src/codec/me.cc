@@ -65,7 +65,7 @@ struct SearchState {
                sad);
     }
 
-    /** Cost of a half-pel candidate (interpolating); updates best. */
+    /** Cost of a half-pel candidate; updates best. */
     void
     tryHalfPel(MotionVector mv)
     {
@@ -75,15 +75,7 @@ struct SearchState {
             clampInt(mv.y, min_my * 2, max_my * 2));
         if (mv == best)
             return;
-        uint8_t temp[32 * 32];  // max block any codec searches
-        motionCompensate(*ctx.ref, ctx.block_x, ctx.block_y, mv,
-                         ctx.block_w, ctx.block_h, temp);
-        const uint32_t distortion = ctx.satd_subpel
-            ? satdBlock(src_ptr, src_stride, temp, ctx.block_w,
-                        ctx.block_w, ctx.block_h)
-            : sadBlock(src_ptr, src_stride, temp, ctx.block_w,
-                       ctx.block_w, ctx.block_h);
-        finish(mv, distortion);
+        finish(mv, distortion(mv, ctx.satd_subpel));
     }
 
     /**
@@ -93,14 +85,28 @@ struct SearchState {
     void
     rescoreWithSatd()
     {
-        uint8_t temp[32 * 32];
-        motionCompensate(*ctx.ref, ctx.block_x, ctx.block_y, best,
-                         ctx.block_w, ctx.block_h, temp);
-        best_sad = satdBlock(src_ptr, src_stride, temp, ctx.block_w,
-                             ctx.block_w, ctx.block_h);
+        best_sad = distortion(best, true);
         best_cost = best_sad +
             static_cast<uint32_t>(ctx.lambda * mvBits(best, ctx.pred) +
                                   0.5);
+    }
+
+    /**
+     * SATD or SAD of the block at `mv`, read in place from the
+     * reference or, for a half-pel MV, from its half-pel plane when
+     * built (RefPlane::buildHalfPel).
+     */
+    uint32_t
+    distortion(MotionVector mv, bool satd) const
+    {
+        uint8_t scratch[32 * 32];  // max block any codec searches
+        const BlockRef pred =
+            compensatedBlock(*ctx.ref, ctx.block_x, ctx.block_y, mv,
+                             ctx.block_w, ctx.block_h, scratch);
+        return satd ? satdBlock(src_ptr, src_stride, pred.data, pred.stride,
+                                ctx.block_w, ctx.block_h)
+                    : sadBlock(src_ptr, src_stride, pred.data, pred.stride,
+                               ctx.block_w, ctx.block_h);
     }
 
     void

@@ -38,7 +38,9 @@ uint32_t mvBits(MotionVector mv, MotionVector pred);
 /** Inputs to one block search. */
 struct MeContext {
     const video::Plane *src = nullptr;  ///< current source plane
-    const RefPlane *ref = nullptr;      ///< padded reference
+    /// Padded reference. Half-pel candidates are read from its half-pel
+    /// planes when built, and interpolated one by one otherwise.
+    const RefPlane *ref = nullptr;
     int block_x = 0;
     int block_y = 0;
     int block_w = 16;

@@ -191,6 +191,8 @@ class NgcPolicy final : public codec::BlockPolicy
         type_ = type;
         if (type == FrameType::I)
             refs_.clear();
+        else if (tools_.subpel)
+            codec::buildHalfPelPlanes(refs_);
         recon_ = Frame(padded_w_, padded_h_);
         cells_ = CellGrid(padded_w_ / 8, padded_h_ / 8);
         qp_ = qp;

@@ -1,8 +1,10 @@
 /**
  * @file
- * Motion estimation: the searches must find known displacements, and
- * the exhaustive search must report exactly what a plain raster scan
- * computing every SAD reports.
+ * Motion estimation: the searches must find known displacements, the
+ * exhaustive search must report exactly what a plain raster scan
+ * computing every SAD reports, and sub-pel refinement read from the
+ * half-pel planes must report exactly what interpolating every
+ * candidate reports.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "codec/interp.h"
 #include "codec/me.h"
 #include "kernels/kernel_ops.h"
 #include "uarch/probe.h"
@@ -522,6 +525,236 @@ TEST(MotionSearch, FullSearchCountsRowsHoldingTheBest)
             me.has_seed = true;
             me.seed = MotionVector{40, 0};
             expectMatchesRasterScan(me);
+        }
+    }
+}
+
+/** A search's outcome as its result and probe records show it. */
+struct SubpelOutcome {
+    MeResult result;
+    uint64_t decisions = 0;
+    int n_decisions = 0;
+    uint64_t subpel_units = 0;  ///< the SubpelInterp record's work units
+};
+
+/**
+ * Sub-pel refinement as it ran before the half-pel planes: every
+ * candidate motion-compensated into a temp block, then scored. It
+ * continues from `start`, the outcome of the same search with sub-pel
+ * refinement off.
+ */
+SubpelOutcome
+interpolatingSubpel(const MeContext &ctx, SubpelOutcome start)
+{
+    const int margin = kRefPad - 2;
+    const int min_mx = -(ctx.block_x + margin);
+    const int max_mx =
+        ctx.ref->width() + margin - ctx.block_w - ctx.block_x;
+    const int min_my = -(ctx.block_y + margin);
+    const int max_my =
+        ctx.ref->height() + margin - ctx.block_h - ctx.block_y;
+    const uint8_t *src = ctx.src->row(ctx.block_y) + ctx.block_x;
+    const int src_stride = ctx.src->width();
+
+    SubpelOutcome out = start;
+    MeResult &best = out.result;
+    uint64_t evals = 0;
+    const auto score = [&](MotionVector mv, bool satd) {
+        uint8_t temp[32 * 32];
+        motionCompensate(*ctx.ref, ctx.block_x, ctx.block_y, mv,
+                         ctx.block_w, ctx.block_h, temp);
+        return satd ? satdBlock(src, src_stride, temp, ctx.block_w,
+                                ctx.block_w, ctx.block_h)
+                    : sadBlock(src, src_stride, temp, ctx.block_w,
+                               ctx.block_w, ctx.block_h);
+    };
+    const auto rate = [&](MotionVector mv) {
+        return static_cast<uint32_t>(ctx.lambda * mvBits(mv, ctx.pred) +
+                                     0.5);
+    };
+    const auto try_half_pel = [&](MotionVector mv) {
+        mv.x = static_cast<int16_t>(clampInt(mv.x, min_mx * 2, max_mx * 2));
+        mv.y = static_cast<int16_t>(clampInt(mv.y, min_my * 2, max_my * 2));
+        if (mv == best.mv)
+            return;
+        const uint32_t sad = score(mv, ctx.satd_subpel);
+        const uint32_t cost = sad + rate(mv);
+        ++best.candidates;
+        const bool improved = cost < best.cost;
+        if (out.n_decisions < 64) {
+            out.decisions |= static_cast<uint64_t>(improved)
+                << out.n_decisions;
+            ++out.n_decisions;
+        }
+        if (improved) {
+            best.cost = cost;
+            best.sad = sad;
+            best.mv = mv;
+        }
+    };
+    if (ctx.satd_subpel) {
+        best.sad = score(best.mv, true);
+        best.cost = best.sad + rate(best.mv);
+    }
+    for (int iter = 0; iter < ctx.subpel_iters; ++iter) {
+        const MotionVector center = best.mv;
+        for (int dy = -1; dy <= 1; ++dy) {
+            for (int dx = -1; dx <= 1; ++dx) {
+                if (dx == 0 && dy == 0)
+                    continue;
+                try_half_pel(
+                    MotionVector{static_cast<int16_t>(center.x + dx),
+                                 static_cast<int16_t>(center.y + dy)});
+                ++evals;
+            }
+        }
+        if (best.mv == center)
+            break;
+    }
+    // The probe counts interpolated samples in 256-sample units.
+    const uint64_t area = static_cast<uint64_t>(ctx.block_w) * ctx.block_h;
+    out.subpel_units =
+        evals == 0 ? 0 : std::max<uint64_t>(1, evals * area / 256);
+    return out;
+}
+
+/** Run a search and read its outcome back from its probe records. */
+SubpelOutcome
+searchWithProbe(MeContext me)
+{
+    RecordingProbe probe;
+    me.probe = &probe;
+    SubpelOutcome out;
+    out.result = motionSearch(me);
+    for (const RecordingProbe::Record &r : probe.records) {
+        if (r.id == uarch::KernelId::MotionSearchCtl) {
+            EXPECT_EQ(r.units, out.result.candidates);
+            out.decisions = r.decision_bits;
+            out.n_decisions = r.n_decisions;
+        } else if (r.id == uarch::KernelId::SubpelInterp) {
+            out.subpel_units = r.units;
+        }
+    }
+    return out;
+}
+
+void
+expectSameOutcome(const SubpelOutcome &got, const SubpelOutcome &want)
+{
+    EXPECT_EQ(got.result.mv, want.result.mv);
+    EXPECT_EQ(got.result.cost, want.result.cost);
+    EXPECT_EQ(got.result.sad, want.result.sad);
+    EXPECT_EQ(got.result.candidates, want.result.candidates);
+    EXPECT_EQ(got.decisions, want.decisions);
+    EXPECT_EQ(got.n_decisions, want.n_decisions);
+    EXPECT_EQ(got.subpel_units, want.subpel_units);
+}
+
+TEST(MotionSearch, HalfPelPlanesMatchInterpolatingEveryCandidate)
+{
+    // Sub-pel candidates are read from the reference's half-pel planes
+    // when it has them and interpolated one by one when it does not.
+    // Both must report what the per-candidate interpolation reported:
+    // MV, cost, SAD, candidate count and decision bits, at every ISA,
+    // for every strategy, round count and metric, with predictors
+    // pulling the search against every frame edge, where the clamp
+    // holds candidates at the extremes of the planes.
+    constexpr int kW = 96;
+    constexpr int kH = 80;
+    video::Rng rng(29);
+    Plane noise_src(kW, kH);
+    for (int y = 0; y < kH; ++y)
+        for (int x = 0; x < kW; ++x)
+            noise_src.at(x, y) = static_cast<uint8_t>(rng.below(256));
+    const Plane noise_cur = shifted(noise_src, 2, -3);
+    const Plane texture_src = texturedPlane(kW, kH, 8);
+    // A half-pel shift, so refinement has somewhere to go.
+    Plane texture_cur(kW, kH);
+    for (int y = 0; y < kH; ++y)
+        for (int x = 0; x < kW; ++x)
+            texture_cur.at(x, y) = static_cast<uint8_t>(
+                (texture_src.atClamped(x - 3, y + 1) +
+                 texture_src.atClamped(x - 2, y + 1) + 1) / 2);
+
+    for (const kernels::Isa isa : availableIsas()) {
+        kernels::ScopedKernelIsa pin(isa);
+        const RefPlane noise_plain(noise_src);
+        const RefPlane texture_plain(texture_src);
+        RefPlane noise(noise_src);
+        RefPlane texture(texture_src);
+        noise.buildHalfPel();
+        texture.buildHalfPel();
+        struct Pair {
+            const Plane *cur;
+            const RefPlane *plain;
+            const RefPlane *planes;
+        };
+        const Pair pairs[] = {{&noise_cur, &noise_plain, &noise},
+                              {&texture_cur, &texture_plain, &texture}};
+        for (const Pair &pair : pairs) {
+            for (const int bs : {8, 16, 32}) {
+                const int xs[] = {0, (kW - bs) / 2, kW - bs};
+                const int ys[] = {0, (kH - bs) / 2, kH - bs};
+                for (const int by : ys) {
+                    for (const int bx : xs) {
+                        const MotionVector pulls[] = {
+                            {-512, 0}, {512, 0}, {0, -512}, {0, 512},
+                            {-511, -511}, {511, 511},
+                            {static_cast<int16_t>(rng.range(-20, 20)),
+                             static_cast<int16_t>(rng.range(-20, 20))}};
+                        for (const MotionVector pull : pulls) {
+                            for (const SearchKind kind :
+                                 {SearchKind::Diamond, SearchKind::Hex,
+                                  SearchKind::Full}) {
+                                for (const bool satd : {false, true}) {
+                                    MeContext me;
+                                    me.src = pair.cur;
+                                    me.block_x = bx;
+                                    me.block_y = by;
+                                    me.block_w = bs;
+                                    me.block_h = bs;
+                                    me.pred = pull;
+                                    me.lambda = static_cast<double>(
+                                                    rng.below(2000)) /
+                                        100;
+                                    me.kind = kind;
+                                    me.range =
+                                        kind == SearchKind::Full ? 6 : 16;
+                                    me.satd_subpel = satd;
+                                    me.ref = pair.plain;
+                                    me.subpel = false;
+                                    const SubpelOutcome integer =
+                                        searchWithProbe(me);
+                                    me.subpel = true;
+                                    for (int iters = 0; iters <= 3;
+                                         ++iters) {
+                                        me.subpel_iters = iters;
+                                        SCOPED_TRACE(
+                                            ::testing::Message()
+                                            << kernels::isaName(isa)
+                                            << " bs=" << bs << " block=("
+                                            << bx << "," << by
+                                            << ") pred=(" << pull.x << ","
+                                            << pull.y << ") kind="
+                                            << static_cast<int>(kind)
+                                            << " satd=" << satd
+                                            << " iters=" << iters);
+                                        const SubpelOutcome want =
+                                            interpolatingSubpel(me,
+                                                                integer);
+                                        me.ref = pair.planes;
+                                        expectSameOutcome(
+                                            searchWithProbe(me), want);
+                                        me.ref = pair.plain;
+                                        expectSameOutcome(
+                                            searchWithProbe(me), want);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 }

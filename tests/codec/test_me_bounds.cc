@@ -4,8 +4,9 @@
  * with search ranges larger than the reference pad and predictors
  * pointing far outside the frame. The SearchState MV clamp must keep
  * every candidate — including the +1 half-pel taps — inside the
- * padded reference. The sanitize build of this test turns any escape
- * into an ASan report instead of a silent wild read.
+ * padded reference, and every half-pel candidate inside the samples
+ * its half-pel planes hold. The sanitize build of this test turns any
+ * escape into an ASan report instead of a silent wild read.
  */
 
 #include <gtest/gtest.h>
@@ -36,7 +37,11 @@ TEST(MeBounds, BlocksFlushAgainstEveryFrameEdge)
     constexpr int kH = 48;
     const video::Plane cur = randomPlane(kW, kH, 21);
     const video::Plane prev = randomPlane(kW, kH, 22);
-    const RefPlane ref(prev);
+    // The same reference twice: one interpolating every half-pel
+    // candidate, one reading them from its half-pel planes.
+    const RefPlane plain(prev);
+    RefPlane ref(prev);
+    ref.buildHalfPel();
 
     // The search clamp keeps full-pel candidates within kRefPad - 2 of
     // the frame, so half-pel refinement (+1 sample) stays in the pad.
@@ -82,12 +87,24 @@ TEST(MeBounds, BlocksFlushAgainstEveryFrameEdge)
                                   2 * (kH + margin - bs - by));
                         EXPECT_GT(r.candidates, 0u);
 
+                        ctx.ref = &plain;
+                        const MeResult interpolated = motionSearch(ctx);
+                        EXPECT_EQ(r.mv, interpolated.mv);
+                        EXPECT_EQ(r.cost, interpolated.cost);
+                        EXPECT_EQ(r.candidates, interpolated.candidates);
+
                         // Compensating at the winning MV must stay in
                         // bounds too (ASan-checked in the sanitize
                         // build).
                         uint8_t out[16 * 16];
                         motionCompensate(ref, bx, by, r.mv, bs, bs,
                                          out);
+                        uint8_t scratch[16 * 16];
+                        const BlockRef block = compensatedBlock(
+                            ref, bx, by, r.mv, bs, bs, scratch);
+                        EXPECT_EQ(sadBlock(block.data, block.stride, out,
+                                           bs, bs, bs),
+                                  0u);
                     }
                 }
             }
