@@ -71,6 +71,9 @@ struct BenchData {
     std::vector<uint8_t> plane_a;
     std::vector<uint8_t> plane_b;
     std::vector<uint8_t> deblock_plane; ///< see the constructor
+    /// The deblocking rows' working copy of deblock_plane, refreshed
+    /// before every chunk of their ops (see refreshDeblock).
+    mutable std::vector<uint8_t> deblock_scratch;
     int stride = 640;
     int height = 360;
     int16_t residual64[64];
@@ -141,7 +144,42 @@ using BenchFn =
 struct KernelBench {
     const char *name;
     BenchFn run; ///< executes `iters` ops against one dispatch table
+    /// For kernels that write their input in place: restores it before
+    /// every `chunk` ops, outside the timing. Null when the input stays.
+    std::function<void(const BenchData &)> refresh = nullptr;
+    long chunk = 0;
 };
+
+/**
+ * Edges the deblocking rows filter per chunk: every op takes an edge of
+ * deblock_scratch no op of its chunk has filtered, so each times the
+ * filter on coded-like content rather than on samples it already
+ * smoothed, and the decision pattern does not repeat within a chunk.
+ */
+constexpr long kDeblockChunk = 2048;
+
+void
+refreshDeblock(const BenchData &d)
+{
+    d.deblock_scratch = d.deblock_plane;
+}
+
+/**
+ * q0 of the chunk's i-th 16-sample edge on the plane's 4x4 grid, i <
+ * kDeblockChunk: vertical edges walk 16-row runs along each run of
+ * rows, horizontal ones 16-wide runs along each grid row, both with
+ * their p1 and q1 inside the plane.
+ */
+uint8_t *
+deblockEdge(const BenchData &d, long i, bool vertical)
+{
+    const long per_row = vertical ? d.stride / 4 - 1 : d.stride / 16;
+    const long col = i % per_row;
+    const long row = i / per_row;
+    const long x = vertical ? 4 * (col + 1) : 16 * col;
+    const long y = vertical ? 16 * row : 4 * (row + 1);
+    return d.deblock_scratch.data() + y * d.stride + x;
+}
 
 std::vector<KernelBench>
 kernelBenches()
@@ -158,6 +196,67 @@ kernelBenches()
                        }
                        g_sink = g_sink + acc;
                    }});
+    out.push_back({"sad_8x8", [](const KernelOps &k, const BenchData &d,
+                                 long iters) {
+                       uint64_t acc = 0;
+                       for (long i = 0; i < iters; ++i) {
+                           const uint32_t o = d.offsets[i & 63];
+                           acc += k.sad(d.plane_a.data() + o, d.stride,
+                                        d.plane_b.data() + o, d.stride, 8, 8);
+                       }
+                       g_sink = g_sink + acc;
+                   }});
+    // One search step's four candidates (the small diamond around a
+    // block) per op: one sadX4/satdX4 call, and beside it the same four
+    // candidates as four single calls.
+    struct StepShape {
+        const char *x4_name;
+        const char *singles_name;
+        int bs;
+        bool satd;
+    };
+    for (const StepShape shape :
+         {StepShape{"sad_x4_8", "sad_4calls_8", 8, false},
+          StepShape{"sad_x4_16", "sad_4calls_16", 16, false},
+          StepShape{"sad_x4_32", "sad_4calls_32", 32, false},
+          StepShape{"satd_x4_8", "satd_4calls_8", 8, true},
+          StepShape{"satd_x4_16", "satd_4calls_16", 16, true},
+          StepShape{"satd_x4_32", "satd_4calls_32", 32, true}}) {
+        for (const bool batched : {true, false}) {
+            const int bs = shape.bs;
+            const bool satd = shape.satd;
+            out.push_back(
+                {batched ? shape.x4_name : shape.singles_name,
+                 [bs, satd, batched](const KernelOps &k, const BenchData &d,
+                                     long iters) {
+                     const auto x4 = satd ? k.satdX4 : k.sadX4;
+                     const auto one = satd ? k.satd : k.sad;
+                     // Keep the candidates' rows, one above and one
+                     // below the block, inside the plane.
+                     const uint32_t limit =
+                         static_cast<uint32_t>(d.stride * (d.height - 48));
+                     uint64_t acc = 0;
+                     uint32_t dist[4];
+                     for (long i = 0; i < iters; ++i) {
+                         const uint32_t o =
+                             d.offsets[i & 63] % limit + d.stride + 1;
+                         const uint8_t *src = d.plane_a.data() + o;
+                         const uint8_t *c = d.plane_b.data() + o;
+                         const uint8_t *refs[4] = {c - d.stride, c - 1, c + 1,
+                                                   c + d.stride};
+                         if (batched) {
+                             x4(src, d.stride, refs, d.stride, bs, bs, dist);
+                         } else {
+                             for (int j = 0; j < 4; ++j)
+                                 dist[j] = one(src, d.stride, refs[j],
+                                               d.stride, bs, bs);
+                         }
+                         acc += dist[i & 3];
+                     }
+                     g_sink = g_sink + acc;
+                 }});
+        }
+    }
     // One exhaustive-search SAD map each: effort 9's 16x16 search at
     // range 12 (a 25 x 25 window) and its 8x8 search at range 6.
     struct MapShape {
@@ -295,26 +394,24 @@ kernelBenches()
                                d.stride, d.residual64, 8, dst, 8, 8, 8);
                        g_sink = g_sink + dst[0];
                    }});
-    // Both edges lie on 4x4 block boundaries of the deblocking plane.
-    out.push_back({"deblock_edge_h16", [](const KernelOps &k,
-                                          const BenchData &d, long iters) {
-                       // Filter writes in place: use a private copy.
-                       std::vector<uint8_t> buf = d.deblock_plane;
+    // Both rows filter fresh 16-sample edges on the 4x4 block grid of
+    // the deblocking plane's working copy (see kDeblockChunk).
+    out.push_back({"deblock_edge_h16",
+                   [](const KernelOps &k, const BenchData &d, long iters) {
                        for (long i = 0; i < iters; ++i)
-                           k.deblockEdgeH(buf.data() + 8 * d.stride +
-                                              (i & 31) * 16 + 16,
-                                          d.stride, 16, 40, 10, 4);
-                       g_sink = g_sink + buf[8 * d.stride + 16];
-                   }});
-    out.push_back({"deblock_edge_v16", [](const KernelOps &k,
-                                          const BenchData &d, long iters) {
-                       std::vector<uint8_t> buf = d.deblock_plane;
+                           k.deblockEdgeH(deblockEdge(d, i, false), d.stride,
+                                          16, 40, 10, 4);
+                       g_sink = g_sink + d.deblock_scratch[4 * d.stride];
+                   },
+                   refreshDeblock, kDeblockChunk});
+    out.push_back({"deblock_edge_v16",
+                   [](const KernelOps &k, const BenchData &d, long iters) {
                        for (long i = 0; i < iters; ++i)
-                           k.deblockEdgeV(buf.data() + 8 * d.stride +
-                                              (i & 31) * 16 + 16,
-                                          d.stride, 16, 40, 10, 4);
-                       g_sink = g_sink + buf[8 * d.stride + 16];
-                   }});
+                           k.deblockEdgeV(deblockEdge(d, i, true), d.stride,
+                                          16, 40, 10, 4);
+                       g_sink = g_sink + d.deblock_scratch[4];
+                   },
+                   refreshDeblock, kDeblockChunk});
     out.push_back({"quant_block16", [](const KernelOps &k,
                                        const BenchData &d, long iters) {
                        int16_t levels[256];
@@ -362,16 +459,30 @@ kernelBenches()
     return out;
 }
 
-/** ns per op of one timed run of `iters` ops. */
+/**
+ * ns per op of one timed run of `iters` ops; a row with a refresh runs
+ * them in chunks and times only the ops.
+ */
 double
-timeNsPerOp(const KernelOps &k, const BenchData &d, const BenchFn &fn,
+timeNsPerOp(const KernelOps &k, const BenchData &d, const KernelBench &bench,
             long iters)
 {
-    const auto t0 = Clock::now();
-    fn(k, d, iters);
-    return std::chrono::duration<double, std::nano>(Clock::now() - t0)
-               .count() /
-        static_cast<double>(iters);
+    if (!bench.refresh) {
+        const auto t0 = Clock::now();
+        bench.run(k, d, iters);
+        return std::chrono::duration<double, std::nano>(Clock::now() - t0)
+                   .count() /
+            static_cast<double>(iters);
+    }
+    double ns = 0;
+    for (long done = 0; done < iters; done += bench.chunk) {
+        bench.refresh(d);
+        const auto t0 = Clock::now();
+        bench.run(k, d, std::min(bench.chunk, iters - done));
+        ns += std::chrono::duration<double, std::nano>(Clock::now() - t0)
+                  .count();
+    }
+    return ns / static_cast<double>(iters);
 }
 
 /**
@@ -380,10 +491,11 @@ timeNsPerOp(const KernelOps &k, const BenchData &d, const BenchFn &fn,
  * a millisecond (half_pel_planes at scalar) stop after a few ops.
  */
 long
-calibrateIters(const KernelOps &k, const BenchData &d, const BenchFn &fn)
+calibrateIters(const KernelOps &k, const BenchData &d,
+               const KernelBench &bench)
 {
     long iters = 1;
-    while (timeNsPerOp(k, d, fn, iters) * static_cast<double>(iters) <
+    while (timeNsPerOp(k, d, bench, iters) * static_cast<double>(iters) <
                4e6 &&
            iters <= (1l << 28))
         iters *= 4;
@@ -579,6 +691,29 @@ runSmoke()
                            cols, rows, m2.data());
             check(m1 == m2, k->name, "sadMap");
 
+            // sadX4/satdX4 against four scalar single calls: blocks of
+            // the source block's size or half it either way, at random
+            // places of the SAD map's window.
+            const int x4w = bs >> rng.below(2);
+            const int x4h = bs >> rng.below(2);
+            const uint8_t *cands[4];
+            for (const uint8_t *&c : cands)
+                c = win.data() +
+                    rng.below(static_cast<uint64_t>(rows + bs - x4h)) *
+                        ref_stride +
+                    rng.below(static_cast<uint64_t>(cols + bs - x4w));
+            uint32_t sad4[4], satd4[4];
+            k->sadX4(blk.data(), bs, cands, ref_stride, x4w, x4h, sad4);
+            k->satdX4(blk.data(), bs, cands, ref_stride, x4w, x4h, satd4);
+            bool same4 = true;
+            for (int j = 0; j < 4; ++j)
+                same4 = same4 &&
+                    sad4[j] == scalar->sad(blk.data(), bs, cands[j],
+                                           ref_stride, x4w, x4h) &&
+                    satd4[j] == scalar->satd(blk.data(), bs, cands[j],
+                                             ref_stride, x4w, x4h);
+            check(same4, k->name, "sadX4/satdX4");
+
             int16_t res[64];
             for (auto &v : res)
                 v = static_cast<int16_t>(rng.range(-255, 255));
@@ -711,7 +846,7 @@ runBench(const std::string &json_path)
     for (size_t b = 0; b < benches.size(); ++b)
         for (size_t l = 0; l < n_levels; ++l)
             iters[b][l] = calibrateIters(*kernels::opsFor(levels[l]), data,
-                                         benches[b].run);
+                                         benches[b]);
     // runs[b][l]: ns/op of each round's run of bench b at ISA level l.
     std::vector<std::vector<std::vector<double>>> runs(
         benches.size(), std::vector<std::vector<double>>(n_levels));
@@ -721,7 +856,7 @@ runBench(const std::string &json_path)
                 const size_t l = (i + static_cast<size_t>(round)) % n_levels;
                 runs[b][l].push_back(
                     timeNsPerOp(*kernels::opsFor(levels[l]), data,
-                                benches[b].run, iters[b][l]));
+                                benches[b], iters[b][l]));
             }
         }
     }

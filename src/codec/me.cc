@@ -11,6 +11,9 @@ namespace vbench::codec {
 
 namespace {
 
+/** Most candidates one search step scores: the square and the ring. */
+constexpr int kMaxStep = 8;
+
 /** Search state shared by the strategies. */
 struct SearchState {
     const MeContext &ctx;
@@ -38,44 +41,57 @@ struct SearchState {
         max_my = c.ref->height() + margin - c.block_h - c.block_y;
     }
 
-    /** Cost of a full-pel candidate; updates best. */
-    void
-    tryFullPel(int mx, int my)
+    /** A full-pel candidate clamped into the bounds, in half-pel units. */
+    MotionVector
+    fullPel(int mx, int my) const
     {
-        mx = clampInt(mx, min_mx, max_mx);
-        my = clampInt(my, min_my, max_my);
-        const MotionVector mv{static_cast<int16_t>(mx * 2),
-                              static_cast<int16_t>(my * 2)};
-        if (candidates > 0 && mv == best)
-            return;
-        evaluateFullPel(mx, my);
+        return MotionVector{
+            static_cast<int16_t>(clampInt(mx, min_mx, max_mx) * 2),
+            static_cast<int16_t>(clampInt(my, min_my, max_my) * 2)};
     }
 
-    /** SAD-score a full-pel candidate inside the bounds; updates best. */
-    void
-    evaluateFullPel(int mx, int my)
+    /** A half-pel candidate clamped into the bounds. */
+    MotionVector
+    halfPel(MotionVector mv) const
     {
-        const uint8_t *ref_ptr =
-            ctx.ref->ptr(ctx.block_x + mx, ctx.block_y + my);
-        const uint32_t sad = sadBlock(src_ptr, src_stride, ref_ptr,
-                                      ctx.ref->stride(), ctx.block_w,
-                                      ctx.block_h);
-        finish(MotionVector{static_cast<int16_t>(mx * 2),
-                            static_cast<int16_t>(my * 2)},
-               sad);
+        return MotionVector{
+            static_cast<int16_t>(clampInt(mv.x, min_mx * 2, max_mx * 2)),
+            static_cast<int16_t>(clampInt(mv.y, min_my * 2, max_my * 2))};
     }
 
-    /** Cost of a half-pel candidate; updates best. */
+    /**
+     * Evaluate one search step's clamped candidates in order, updating
+     * best: a full-pel candidate equal to the best is skipped once any
+     * candidate has been counted, a half-pel one (scored in the sub-pel
+     * metric) always. A candidate's cost depends only on its MV, so all
+     * of them are scored first, four at a time, and then replayed
+     * through consider() one by one, the skip rule reading the best the
+     * earlier ones left. Where the clamp folds candidates onto each
+     * other or onto the best, and where seeds repeat, a skipped
+     * candidate's score goes unused; comparing MVs to avoid that cost
+     * more than it saved.
+     */
     void
-    tryHalfPel(MotionVector mv)
+    tryStep(const MotionVector *mvs, int n, bool half_pel)
     {
-        mv.x = static_cast<int16_t>(
-            clampInt(mv.x, min_mx * 2, max_mx * 2));
-        mv.y = static_cast<int16_t>(
-            clampInt(mv.y, min_my * 2, max_my * 2));
-        if (mv == best)
-            return;
-        finish(mv, distortion(mv, ctx.satd_subpel));
+        BlockRef blocks[kMaxStep];
+        uint8_t scratch[kMaxStep][32 * 32];  // max block any codec searches
+        for (int i = 0; i < n; ++i)
+            blocks[i] = compensatedBlock(*ctx.ref, ctx.block_x, ctx.block_y,
+                                         mvs[i], ctx.block_w, ctx.block_h,
+                                         scratch[i]);
+        uint32_t dist[kMaxStep];
+        distortions(blocks, n, half_pel && ctx.satd_subpel, dist);
+        // Every cost first: they do not depend on each other, so only
+        // the comparisons with the best remain in sequence.
+        uint32_t cost[kMaxStep];
+        for (int i = 0; i < n; ++i)
+            cost[i] = dist[i] + rate(mvs[i]);
+        for (int i = 0; i < n; ++i) {
+            if ((half_pel || candidates > 0) && mvs[i] == best)
+                continue;
+            consider(mvs[i], dist[i], cost[i]);
+        }
     }
 
     /**
@@ -86,9 +102,7 @@ struct SearchState {
     rescoreWithSatd()
     {
         best_sad = distortion(best, true);
-        best_cost = best_sad +
-            static_cast<uint32_t>(ctx.lambda * mvBits(best, ctx.pred) +
-                                  0.5);
+        best_cost = best_sad + rate(best);
     }
 
     /**
@@ -109,12 +123,44 @@ struct SearchState {
                                ctx.block_w, ctx.block_h);
     }
 
+    /**
+     * SATD or SAD of the block against each of n blocks: four at a time
+     * through the x4 kernels while the groups share a stride (a
+     * reference without half-pel planes mixes plane and scratch
+     * blocks), the rest one by one. A last group of one to three takes
+     * single calls: an x4 SATD costs about three single ones
+     * (bench_kernels).
+     */
     void
-    finish(MotionVector mv, uint32_t sad)
+    distortions(const BlockRef *blocks, int n, bool satd,
+                uint32_t *out) const
     {
-        consider(mv, sad,
-                 sad + static_cast<uint32_t>(
-                           ctx.lambda * mvBits(mv, ctx.pred) + 0.5));
+        const kernels::KernelOps &k = kernels::ops();
+        int i = 0;
+        for (; i + 4 <= n; i += 4) {
+            const BlockRef *group = blocks + i;
+            if (group[1].stride != group[0].stride ||
+                group[2].stride != group[0].stride ||
+                group[3].stride != group[0].stride)
+                break;
+            const uint8_t *const refs[4] = {group[0].data, group[1].data,
+                                            group[2].data, group[3].data};
+            (satd ? k.satdX4 : k.sadX4)(src_ptr, src_stride, refs,
+                                        group[0].stride, ctx.block_w,
+                                        ctx.block_h, out + i);
+        }
+        for (; i < n; ++i)
+            out[i] = (satd ? k.satd : k.sad)(src_ptr, src_stride,
+                                             blocks[i].data, blocks[i].stride,
+                                             ctx.block_w, ctx.block_h);
+    }
+
+    /** The rate term of a candidate's cost: uint32(λ·bits + 0.5). */
+    uint32_t
+    rate(MotionVector mv) const
+    {
+        return static_cast<uint32_t>(ctx.lambda * mvBits(mv, ctx.pred) +
+                                     0.5);
     }
 
     /** Count a candidate whose cost is already known; updates best. */
@@ -135,7 +181,7 @@ struct SearchState {
     }
 
     /**
-     * Count @p n candidates known not to beat the best, as finish()
+     * Count @p n candidates known not to beat the best, as consider()
      * would have counted them: no improvement bits.
      */
     void
@@ -151,65 +197,55 @@ const int kSmallDiamond[4][2] = {{0, -1}, {-1, 0}, {1, 0}, {0, 1}};
 const int kHexagon[6][2] = {
     {-2, 0}, {-1, -2}, {1, -2}, {2, 0}, {1, 2}, {-1, 2},
 };
+/// The 3x3 square around a center, in raster order.
+const int kSquare[8][2] = {
+    {-1, -1}, {0, -1}, {1, -1}, {-1, 0}, {1, 0}, {-1, 1}, {0, 1}, {1, 1},
+};
 
 /**
- * Final 3x3 square refinement. Axis-only patterns stall when the best
- * position is diagonally adjacent; the square pass fixes that, as in
- * x264's SQUARE/UMH endgames.
+ * Step a full-pel pattern around the best, one batch of candidates per
+ * step, until a step leaves the best where it was or max_iters steps
+ * have run.
  */
+template <int N>
 void
-squareRefine(SearchState &state, int max_iters)
+descend(SearchState &state, const int (&pattern)[N][2], int max_iters)
 {
+    static_assert(N <= kMaxStep);
     for (int iter = 0; iter < max_iters; ++iter) {
         const MotionVector center = state.best;
-        for (int dy = -1; dy <= 1; ++dy) {
-            for (int dx = -1; dx <= 1; ++dx) {
-                if (dx == 0 && dy == 0)
-                    continue;
-                state.tryFullPel(center.x / 2 + dx, center.y / 2 + dy);
-            }
-        }
+        MotionVector mvs[N];
+        for (int i = 0; i < N; ++i)
+            mvs[i] = state.fullPel(center.x / 2 + pattern[i][0],
+                                   center.y / 2 + pattern[i][1]);
+        state.tryStep(mvs, N, false);
         if (state.best == center)
             break;
     }
 }
 
+/**
+ * Diamond or hexagon descent, then two rounds of 3x3 square
+ * refinement. Axis-only patterns stall when the best position is
+ * diagonally adjacent; the square pass fixes that, as in x264's
+ * SQUARE/UMH endgames.
+ */
+template <int N>
 void
-diamondSearch(SearchState &state, int max_iters)
+patternSearch(SearchState &state, const int (&pattern)[N][2], int max_iters)
 {
-    for (int iter = 0; iter < max_iters; ++iter) {
-        const MotionVector center = state.best;
-        for (const auto &d : kSmallDiamond) {
-            state.tryFullPel(center.x / 2 + d[0], center.y / 2 + d[1]);
-        }
-        if (state.best == center)
-            break;
-    }
-    squareRefine(state, 2);
-}
-
-void
-hexSearch(SearchState &state, int max_iters)
-{
-    for (int iter = 0; iter < max_iters; ++iter) {
-        const MotionVector center = state.best;
-        for (const auto &d : kHexagon) {
-            state.tryFullPel(center.x / 2 + d[0], center.y / 2 + d[1]);
-        }
-        if (state.best == center)
-            break;
-    }
-    squareRefine(state, 2);
+    descend(state, pattern, max_iters);
+    descend(state, kSquare, 2);
 }
 
 /**
  * Exhaustive search. Visits exactly the positions of a raster scan over
  * the (2 range + 1)^2 window around the clamped predictor, in raster
- * order, each clamped into the MV bounds as tryFullPel clamps it, the
+ * order, each clamped into the MV bounds as fullPel() clamps it, the
  * current best skipped. One sadMap kernel call first computes the SAD
  * of every position of the clamped window; the scan then prices each
- * position with the rate term finish() would add, from one per-window
- * table, and applies finish()'s bookkeeping. A row that is not clamped
+ * position with the rate term rate() would add, from one per-window
+ * table, and applies consider()'s bookkeeping. A row that is not clamped
  * horizontally and whose cheapest cost does not beat the best holds no
  * improvement: it is counted in one step, one position short when the
  * current best lies in it (that position is skipped). The winner, its
@@ -256,7 +292,7 @@ fullSearch(SearchState &state)
                           ctx.ref->stride(), ctx.block_w, ctx.block_h,
                           columns, rows, map);
 
-    // The rate term, exactly as finish() rounds it, by MV bits: a
+    // The rate term, exactly as rate() rounds it, by MV bits: a
     // column part plus a row part. se() bits grow with the magnitude,
     // so the window's corners bound the sum; se() of any int32 takes at
     // most 66 bits.
@@ -330,17 +366,18 @@ motionSearch(const MeContext &ctx)
     // supplied one) the extra hint. The hint matters at slice heads,
     // where the rate predictor resets to zero but real motion hasn't:
     // without it the pattern search walks from (0,0) every time.
-    state.tryFullPel(0, 0);
-    state.tryFullPel((ctx.pred.x + 1) / 2, (ctx.pred.y + 1) / 2);
-    if (ctx.has_seed)
-        state.tryFullPel((ctx.seed.x + 1) / 2, (ctx.seed.y + 1) / 2);
+    const MotionVector seeds[3] = {
+        state.fullPel(0, 0),
+        state.fullPel((ctx.pred.x + 1) / 2, (ctx.pred.y + 1) / 2),
+        state.fullPel((ctx.seed.x + 1) / 2, (ctx.seed.y + 1) / 2)};
+    state.tryStep(seeds, ctx.has_seed ? 3 : 2, false);
 
     switch (ctx.kind) {
       case SearchKind::Diamond:
-        diamondSearch(state, ctx.range);
+        patternSearch(state, kSmallDiamond, ctx.range);
         break;
       case SearchKind::Hex:
-        hexSearch(state, ctx.range);
+        patternSearch(state, kHexagon, ctx.range);
         break;
       case SearchKind::Full:
         fullSearch(state);
@@ -351,18 +388,17 @@ motionSearch(const MeContext &ctx)
     if (ctx.subpel) {
         if (ctx.satd_subpel)
             state.rescoreWithSatd();
+        // The 8-position half-pel ring around the best, one batch per
+        // round.
         for (int iter = 0; iter < ctx.subpel_iters; ++iter) {
             const MotionVector center = state.best;
-            for (int dy = -1; dy <= 1; ++dy) {
-                for (int dx = -1; dx <= 1; ++dx) {
-                    if (dx == 0 && dy == 0)
-                        continue;
-                    state.tryHalfPel(
-                        MotionVector{static_cast<int16_t>(center.x + dx),
-                                     static_cast<int16_t>(center.y + dy)});
-                    ++subpel_evals;
-                }
-            }
+            MotionVector ring[8];
+            for (int i = 0; i < 8; ++i)
+                ring[i] = state.halfPel(MotionVector{
+                    static_cast<int16_t>(center.x + kSquare[i][0]),
+                    static_cast<int16_t>(center.y + kSquare[i][1])});
+            state.tryStep(ring, 8, true);
+            subpel_evals += 8;
             if (state.best == center)
                 break;
         }

@@ -62,6 +62,25 @@ struct KernelOps {
                      int b_stride, int w, int h);
 
     /**
+     * SAD of one w x h source block against four reference blocks that
+     * share a stride (a search step's candidates):
+     * out[k] = sad(src, src_stride, ref[k], ref_stride, w, h), exactly.
+     * Reads exactly w x h of src and of each ref[k].
+     */
+    void (*sadX4)(const uint8_t *src, int src_stride,
+                  const uint8_t *const ref[4], int ref_stride, int w,
+                  int h, uint32_t out[4]);
+
+    /**
+     * SATD counterpart of sadX4: out[k] = satd(src, src_stride, ref[k],
+     * ref_stride, w, h), exactly. Same shape rule as satd; reads
+     * exactly w x h of src and of each ref[k].
+     */
+    void (*satdX4)(const uint8_t *src, int src_stride,
+                   const uint8_t *const ref[4], int ref_stride, int w,
+                   int h, uint32_t out[4]);
+
+    /**
      * SAD map of one w x h source block over a cols x rows window of
      * reference positions (exhaustive motion search):
      * out[v * cols + u] = sad(src, src_stride, ref + v * ref_stride + u,

@@ -4,20 +4,23 @@
  * without AVX2 the guard compiles this down to a null table and the
  * dispatcher stops at SSE2.
  *
- * Overrides only the kernels that benefit from 256-bit lanes: SAD (row
- * pairing keeps 16-wide macroblocks on full-width psadbw), the SAD map
- * (mpsadbw scores 16 search offsets per call), SATD (four
- * 4x4 Hadamard blocks per 256-bit strip in 16-bit lanes), the 8x8
+ * Overrides only the kernels that benefit from 256-bit lanes: SAD
+ * (packing two 16-wide or four 8-wide rows per vector keeps those blocks
+ * on full-width psadbw), the SAD map (mpsadbw scores 16 search offsets
+ * per call), SATD (four 4x4 Hadamard blocks per 256-bit strip in 16-bit
+ * lanes), the four-reference SAD and SATD (the source rows loaded, and
+ * for SATD widened, once for four candidates), the 8x8
  * transform pair (two 4x4 sub-blocks ride in the two 128-bit lanes),
  * quant/dequant, interpolation, residual diff/reconstruction, the
  * whole-block residual coding (quantBlock: four 4x4 blocks per pass in
  * 16-bit lanes) and reconstruction (reconBlock: two blocks per pass in
  * 32-bit lanes), and the PSNR sum of squares. The single 4x4
- * transforms, both deblocking edge kernels and the 8-wide SSIM window
- * stay on the SSE2 versions, which already fill their lanes. All the
- * same bit-exactness arguments as the SSE2 TU apply (wrapping packs,
- * 64-bit quant math, exact pavgb/psadbw), plus SATD's exact halving
- * (see satdAvx2) and quantBlock's lane-width bounds (see quantQuad).
+ * transforms, both deblocking edge kernels, the block copy and the
+ * 8-wide SSIM window stay on the SSE2 versions, which already fill
+ * their lanes. All the same bit-exactness arguments as the SSE2 TU
+ * apply (wrapping packs, 64-bit quant math, exact pavgb/psadbw), plus
+ * SATD's exact halving (see satdAvx2) and quantBlock's lane-width
+ * bounds (see quantQuad).
  */
 
 #include "kernels/kernel_ops.h"
@@ -58,6 +61,51 @@ load8u16(const uint8_t *p)
     return _mm_unpacklo_epi8(
         _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p)),
         _mm_setzero_si128());
+}
+
+inline __m128i
+load4(const uint8_t *p)
+{
+    uint32_t v;
+    std::memcpy(&v, p, 4);
+    return _mm_cvtsi32_si128(static_cast<int>(v));
+}
+
+inline __m128i
+load8(const uint8_t *p)
+{
+    return _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p));
+}
+
+inline __m128i
+load16(const uint8_t *p)
+{
+    return _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
+}
+
+/**
+ * The 32 bytes of a W-wide block that fill one 256-bit vector, from
+ * its row at p on: four 8-wide rows (two per 128-bit lane), two 16-wide
+ * rows or one 32-wide row.
+ */
+template <int W>
+inline __m256i
+loadRows(const uint8_t *p, int stride)
+{
+    static_assert(W == 8 || W == 16 || W == 32);
+    if constexpr (W == 8) {
+        return _mm256_inserti128_si256(
+            _mm256_castsi128_si256(
+                _mm_unpacklo_epi64(load8(p), load8(p + stride))),
+            _mm_unpacklo_epi64(load8(p + 2 * stride),
+                               load8(p + 3 * stride)),
+            1);
+    } else if constexpr (W == 16) {
+        return _mm256_inserti128_si256(
+            _mm256_castsi128_si256(load16(p)), load16(p + stride), 1);
+    } else {
+        return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p));
+    }
 }
 
 /** Per-128-lane 4x4 transpose of int32 elements. */
@@ -119,24 +167,21 @@ sadAvx2(const uint8_t *a, int a_stride, const uint8_t *b, int b_stride,
         int w, int h)
 {
     __m256i acc = _mm256_setzero_si256();
+    // The block shapes: pack rows so psadbw runs at full 256-bit width,
+    // four rows of an 8-wide block or two of a 16-wide one at a time.
+    if (w == 8 && (h & 3) == 0) {
+        for (int r = 0; r < h; r += 4)
+            acc = _mm256_add_epi64(
+                acc, _mm256_sad_epu8(loadRows<8>(a + r * a_stride, a_stride),
+                                     loadRows<8>(b + r * b_stride, b_stride)));
+        return static_cast<uint32_t>(hsum64(acc));
+    }
     if (w == 16 && (h & 1) == 0) {
-        // The dominant macroblock shape: pair rows so psadbw runs at
-        // full 256-bit width.
-        for (int r = 0; r < h; r += 2) {
-            const __m256i va = _mm256_inserti128_si256(
-                _mm256_castsi128_si256(_mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(a + r * a_stride))),
-                _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-                    a + (r + 1) * a_stride)),
-                1);
-            const __m256i vb = _mm256_inserti128_si256(
-                _mm256_castsi128_si256(_mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(b + r * b_stride))),
-                _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-                    b + (r + 1) * b_stride)),
-                1);
-            acc = _mm256_add_epi64(acc, _mm256_sad_epu8(va, vb));
-        }
+        for (int r = 0; r < h; r += 2)
+            acc = _mm256_add_epi64(
+                acc,
+                _mm256_sad_epu8(loadRows<16>(a + r * a_stride, a_stride),
+                                loadRows<16>(b + r * b_stride, b_stride)));
         return static_cast<uint32_t>(hsum64(acc));
     }
     __m128i acc128 = _mm_setzero_si128();
@@ -176,6 +221,65 @@ sadAvx2(const uint8_t *a, int a_stride, const uint8_t *b, int b_stride,
         static_cast<uint64_t>(
             _mm_cvtsi128_si64(_mm_unpackhi_epi64(acc128, acc128)));
     return static_cast<uint32_t>(hsum64(acc) + lanes128) + tail;
+}
+
+/**
+ * out[k] = the sum of acc[k]'s four 64-bit lanes modulo 2^32, as the
+ * single kernel's truncation leaves it: the low halves of acc[1] and
+ * acc[3] move into the high halves of acc[0] and acc[2] (only the low
+ * halves count), and the sums run in 32-bit lanes.
+ */
+inline void
+storeSums64(const __m256i acc[4], uint32_t out[4])
+{
+    const __m256i ab =
+        _mm256_blend_epi32(acc[0], _mm256_slli_epi64(acc[1], 32), 0xAA);
+    const __m256i cd =
+        _mm256_blend_epi32(acc[2], _mm256_slli_epi64(acc[3], 32), 0xAA);
+    const __m256i s = _mm256_add_epi32(_mm256_unpacklo_epi64(ab, cd),
+                                       _mm256_unpackhi_epi64(ab, cd));
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(out),
+                     _mm_add_epi32(_mm256_castsi256_si128(s),
+                                   _mm256_extracti128_si256(s, 1)));
+}
+
+/**
+ * Four SADs of a W-wide block, h a multiple of the rows one vector
+ * holds: each source vector is loaded once and meets the four
+ * references' vectors, one accumulator each.
+ */
+template <int W>
+void
+sadX4Rows(const uint8_t *src, int src_stride, const uint8_t *const ref[4],
+          int ref_stride, int h, uint32_t out[4])
+{
+    constexpr int kRows = 32 / W;
+    __m256i acc[4] = {_mm256_setzero_si256(), _mm256_setzero_si256(),
+                      _mm256_setzero_si256(), _mm256_setzero_si256()};
+    for (int r = 0; r < h; r += kRows) {
+        const __m256i vs = loadRows<W>(src + r * src_stride, src_stride);
+        for (int k = 0; k < 4; ++k)
+            acc[k] = _mm256_add_epi64(
+                acc[k],
+                _mm256_sad_epu8(vs, loadRows<W>(ref[k] + r * ref_stride,
+                                                ref_stride)));
+    }
+    storeSums64(acc, out);
+}
+
+/** Widths 8, 16 and 32 share source loads; other shapes call sadAvx2. */
+void
+sadX4Avx2(const uint8_t *src, int src_stride, const uint8_t *const ref[4],
+          int ref_stride, int w, int h, uint32_t out[4])
+{
+    if (w == 8 && (h & 3) == 0)
+        return sadX4Rows<8>(src, src_stride, ref, ref_stride, h, out);
+    if (w == 16 && (h & 1) == 0)
+        return sadX4Rows<16>(src, src_stride, ref, ref_stride, h, out);
+    if (w == 32)
+        return sadX4Rows<32>(src, src_stride, ref, ref_stride, h, out);
+    for (int k = 0; k < 4; ++k)
+        out[k] = sadAvx2(src, src_stride, ref[k], ref_stride, w, h);
 }
 
 // ----- SAD map -----------------------------------------------------
@@ -390,20 +494,6 @@ residual16(__m128i a, __m128i b)
                             _mm256_cvtepu8_epi16(b));
 }
 
-inline __m128i
-load4(const uint8_t *p)
-{
-    uint32_t v;
-    std::memcpy(&v, p, 4);
-    return _mm_cvtsi32_si128(static_cast<int>(v));
-}
-
-inline __m128i
-load8(const uint8_t *p)
-{
-    return _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p));
-}
-
 /**
  * Halved SATD of the four 4x4 blocks held in four rows of residual
  * (block k in lanes 4k..4k+3 of every row), as eight int32 partial
@@ -448,6 +538,23 @@ satdQuad(__m256i d0, __m256i d1, __m256i d2, __m256i d3)
     const __m256i halved = _mm256_add_epi16(_mm256_max_epi16(p0, p2),
                                             _mm256_max_epi16(p1, p3));
     return _mm256_madd_epi16(halved, _mm256_set1_epi16(1));
+}
+
+/**
+ * Row i (0..3) of a SATD group at p, widened to 16-bit lanes: 16
+ * columns from column c, or for W = 8 the 8 columns of rows i and i + 4
+ * side by side in the two 128-bit lanes, as satdAvx2 pairs them, so an
+ * 8-wide group spans 8 rows and still fills all four blocks of a vector.
+ */
+template <int W>
+inline __m256i
+satdRow(const uint8_t *p, int stride, int i, int c)
+{
+    if constexpr (W == 8)
+        return _mm256_cvtepu8_epi16(_mm_unpacklo_epi64(
+            load8(p + i * stride + c), load8(p + (i + 4) * stride + c)));
+    else
+        return _mm256_cvtepu8_epi16(load16(p + i * stride + c));
 }
 
 /**
@@ -515,6 +622,72 @@ satdAvx2(const uint8_t *a, int a_stride, const uint8_t *b, int b_stride,
         _mm_add_epi32(sum, _mm_shuffle_epi32(sum, _MM_SHUFFLE(1, 0, 3, 2)));
     return static_cast<uint32_t>(_mm_cvtsi128_si32(_mm_add_epi32(
         pairs, _mm_shuffle_epi32(pairs, _MM_SHUFFLE(2, 3, 0, 1)))));
+}
+
+/**
+ * out[k] = the sum of acc[k]'s eight 32-bit lanes: two rounds of
+ * horizontal adds leave lane k of each 128-bit half with acc[k]'s sum
+ * over that half.
+ */
+inline void
+storeSums32(const __m256i acc[4], uint32_t out[4])
+{
+    const __m256i s =
+        _mm256_hadd_epi32(_mm256_hadd_epi32(acc[0], acc[1]),
+                          _mm256_hadd_epi32(acc[2], acc[3]));
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(out),
+                     _mm_add_epi32(_mm256_castsi256_si128(s),
+                                   _mm256_extracti128_si256(s, 1)));
+}
+
+/**
+ * Four SATDs of a W-wide block, h a multiple of its group height (8
+ * rows at W = 8, else 4): each group's source rows are loaded and
+ * widened once, and every reference's residual runs through satdQuad
+ * into its own accumulator, so each 4x4 block is transformed exactly as
+ * satdAvx2 transforms it.
+ */
+template <int W>
+void
+satdX4Rows(const uint8_t *src, int src_stride, const uint8_t *const ref[4],
+           int ref_stride, int h, uint32_t out[4])
+{
+    constexpr int kGroup = W == 8 ? 8 : 4;
+    __m256i acc[4] = {_mm256_setzero_si256(), _mm256_setzero_si256(),
+                      _mm256_setzero_si256(), _mm256_setzero_si256()};
+    for (int c = 0; c < W; c += 16) {
+        for (int r = 0; r < h; r += kGroup) {
+            const uint8_t *s = src + r * src_stride;
+            __m256i vs[4];
+            for (int i = 0; i < 4; ++i)
+                vs[i] = satdRow<W>(s, src_stride, i, c);
+            for (int k = 0; k < 4; ++k) {
+                const uint8_t *p = ref[k] + r * ref_stride;
+                __m256i d[4];
+                for (int i = 0; i < 4; ++i)
+                    d[i] = _mm256_sub_epi16(
+                        vs[i], satdRow<W>(p, ref_stride, i, c));
+                acc[k] = _mm256_add_epi32(acc[k],
+                                          satdQuad(d[0], d[1], d[2], d[3]));
+            }
+        }
+    }
+    storeSums32(acc, out);
+}
+
+/** Widths 8, 16 and 32 share source rows; other shapes call satdAvx2. */
+void
+satdX4Avx2(const uint8_t *src, int src_stride, const uint8_t *const ref[4],
+           int ref_stride, int w, int h, uint32_t out[4])
+{
+    if (w == 8 && (h & 7) == 0)
+        return satdX4Rows<8>(src, src_stride, ref, ref_stride, h, out);
+    if (w == 16 && (h & 3) == 0)
+        return satdX4Rows<16>(src, src_stride, ref, ref_stride, h, out);
+    if (w == 32 && (h & 3) == 0)
+        return satdX4Rows<32>(src, src_stride, ref, ref_stride, h, out);
+    for (int k = 0; k < 4; ++k)
+        out[k] = satdAvx2(src, src_stride, ref[k], ref_stride, w, h);
 }
 
 // ----- Interpolation -----------------------------------------------
@@ -1164,6 +1337,8 @@ avx2Ops()
         t.isa = Isa::Avx2;
         t.sad = sadAvx2;
         t.satd = satdAvx2;
+        t.sadX4 = sadX4Avx2;
+        t.satdX4 = satdX4Avx2;
         t.sadMap = sadMapAvx2;
         t.interpH = interpHAvx2;
         t.interpV = interpVAvx2;

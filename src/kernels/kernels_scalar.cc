@@ -98,6 +98,23 @@ satdScalar(const uint8_t *a, int a_stride, const uint8_t *b, int b_stride,
 }
 
 void
+sadX4Scalar(const uint8_t *src, int src_stride, const uint8_t *const ref[4],
+            int ref_stride, int w, int h, uint32_t out[4])
+{
+    for (int k = 0; k < 4; ++k)
+        out[k] = sadScalar(src, src_stride, ref[k], ref_stride, w, h);
+}
+
+void
+satdX4Scalar(const uint8_t *src, int src_stride,
+             const uint8_t *const ref[4], int ref_stride, int w, int h,
+             uint32_t out[4])
+{
+    for (int k = 0; k < 4; ++k)
+        out[k] = satdScalar(src, src_stride, ref[k], ref_stride, w, h);
+}
+
+void
 copy2dScalar(const uint8_t *src, int src_stride, uint8_t *dst,
              int dst_stride, int w, int h)
 {
@@ -443,6 +460,8 @@ scalarOps()
         Isa::Scalar,
         sadScalar,
         satdScalar,
+        sadX4Scalar,
+        satdX4Scalar,
         sadMapScalar,
         copy2dScalar,
         interpHScalar,

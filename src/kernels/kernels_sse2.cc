@@ -131,11 +131,40 @@ hsum64(__m128i v)
 
 // ----- SAD / SATD --------------------------------------------------
 
+/** Load 16 bytes. */
+inline __m128i
+load16(const uint8_t *p)
+{
+    return _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
+}
+
+/** Load 8 bytes into the low half (the high half zero). */
+inline __m128i
+load8(const uint8_t *p)
+{
+    return _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p));
+}
+
+/** Two 8-byte rows, `stride` apart, in one register. */
+inline __m128i
+load8x2(const uint8_t *p, int stride)
+{
+    return _mm_unpacklo_epi64(load8(p), load8(p + stride));
+}
+
 uint32_t
 sadSse2(const uint8_t *a, int a_stride, const uint8_t *b, int b_stride,
         int w, int h)
 {
     __m128i acc = _mm_setzero_si128();
+    if (w == 8 && (h & 1) == 0) {
+        // Pair rows so psadbw runs at full width.
+        for (int r = 0; r < h; r += 2)
+            acc = _mm_add_epi64(
+                acc, _mm_sad_epu8(load8x2(a + r * a_stride, a_stride),
+                                  load8x2(b + r * b_stride, b_stride)));
+        return static_cast<uint32_t>(hsum64(acc));
+    }
     uint32_t tail = 0;
     for (int r = 0; r < h; ++r) {
         const uint8_t *pa = a + r * a_stride;
@@ -160,6 +189,53 @@ sadSse2(const uint8_t *a, int a_stride, const uint8_t *b, int b_stride,
             tail += static_cast<uint32_t>(std::abs(pa[c] - pb[c]));
     }
     return static_cast<uint32_t>(hsum64(acc)) + tail;
+}
+
+/**
+ * Four SADs against one source block: each source vector (16 columns,
+ * an 8-column tail, or two 8-wide rows) is loaded once and meets the
+ * four references' vectors, one accumulator each. Widths that are not
+ * a multiple of 8 take four single calls.
+ */
+void
+sadX4Sse2(const uint8_t *src, int src_stride, const uint8_t *const ref[4],
+          int ref_stride, int w, int h, uint32_t out[4])
+{
+    if (w % 8 != 0) {
+        for (int k = 0; k < 4; ++k)
+            out[k] = sadSse2(src, src_stride, ref[k], ref_stride, w, h);
+        return;
+    }
+    __m128i acc[4] = {_mm_setzero_si128(), _mm_setzero_si128(),
+                      _mm_setzero_si128(), _mm_setzero_si128()};
+    const auto add = [&acc](int k, __m128i s, __m128i r) {
+        acc[k] = _mm_add_epi64(acc[k], _mm_sad_epu8(s, r));
+    };
+    if (w == 8 && (h & 1) == 0) {
+        for (int r = 0; r < h; r += 2) {
+            const __m128i vs = load8x2(src + r * src_stride, src_stride);
+            for (int k = 0; k < 4; ++k)
+                add(k, vs, load8x2(ref[k] + r * ref_stride, ref_stride));
+        }
+    } else {
+        for (int r = 0; r < h; ++r) {
+            const uint8_t *s = src + r * src_stride;
+            const int off = r * ref_stride;
+            int c = 0;
+            for (; c + 16 <= w; c += 16) {
+                const __m128i vs = load16(s + c);
+                for (int k = 0; k < 4; ++k)
+                    add(k, vs, load16(ref[k] + off + c));
+            }
+            if (c < w) {
+                const __m128i vs = load8(s + c);
+                for (int k = 0; k < 4; ++k)
+                    add(k, vs, load8(ref[k] + off + c));
+            }
+        }
+    }
+    for (int k = 0; k < 4; ++k)
+        out[k] = static_cast<uint32_t>(hsum64(acc[k]));
 }
 
 /**
@@ -263,15 +339,50 @@ satdSse2(const uint8_t *a, int a_stride, const uint8_t *b, int b_stride,
     return total;
 }
 
+/** The 32-bit-lane SATD leaves nothing to share: four single calls. */
+void
+satdX4Sse2(const uint8_t *src, int src_stride, const uint8_t *const ref[4],
+           int ref_stride, int w, int h, uint32_t out[4])
+{
+    for (int k = 0; k < 4; ++k)
+        out[k] = satdSse2(src, src_stride, ref[k], ref_stride, w, h);
+}
+
 // ----- Copy / interpolation ----------------------------------------
 
+/**
+ * The block widths (8, 16, 32) copy each row with vector loads and
+ * stores; any other width calls memcpy per row.
+ */
 void
 copy2dSse2(const uint8_t *src, int src_stride, uint8_t *dst,
            int dst_stride, int w, int h)
 {
-    for (int r = 0; r < h; ++r)
-        std::memcpy(dst + r * dst_stride, src + r * src_stride,
-                    static_cast<size_t>(w));
+    const auto copy16 = [](const uint8_t *s, uint8_t *d) {
+        _mm_storeu_si128(reinterpret_cast<__m128i *>(d), load16(s));
+    };
+    switch (w) {
+    case 8:
+        for (int r = 0; r < h; ++r)
+            _mm_storel_epi64(
+                reinterpret_cast<__m128i *>(dst + r * dst_stride),
+                load8(src + r * src_stride));
+        break;
+    case 16:
+        for (int r = 0; r < h; ++r)
+            copy16(src + r * src_stride, dst + r * dst_stride);
+        break;
+    case 32:
+        for (int r = 0; r < h; ++r) {
+            copy16(src + r * src_stride, dst + r * dst_stride);
+            copy16(src + r * src_stride + 16, dst + r * dst_stride + 16);
+        }
+        break;
+    default:
+        for (int r = 0; r < h; ++r)
+            std::memcpy(dst + r * dst_stride, src + r * src_stride,
+                        static_cast<size_t>(w));
+    }
 }
 
 /** Shared 2-tap half-pel core: dst = avg(src, src + off). */
@@ -1006,6 +1117,8 @@ sse2Ops()
         t.isa = Isa::Sse2;
         t.sad = sadSse2;
         t.satd = satdSse2;
+        t.sadX4 = sadX4Sse2;
+        t.satdX4 = satdX4Sse2;
         t.sadMap = sadMapSse2;
         t.copy2d = copy2dSse2;
         t.interpH = interpHSse2;

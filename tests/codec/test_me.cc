@@ -1,10 +1,12 @@
 /**
  * @file
- * Motion estimation: the searches must find known displacements, the
- * exhaustive search must report exactly what a plain raster scan
- * computing every SAD reports, and sub-pel refinement read from the
- * half-pel planes must report exactly what interpolating every
- * candidate reports.
+ * Motion estimation: the searches must find known displacements, and
+ * every search must report exactly what it reported scoring one
+ * candidate at a time: the exhaustive search what a plain raster scan
+ * computing every SAD reports, and the pattern searches, which score
+ * each step's candidates as one batch and read sub-pel candidates from
+ * the half-pel planes, what scoring and interpolating every candidate
+ * on its own reports.
  */
 
 #include <gtest/gtest.h>
@@ -311,21 +313,27 @@ availableIsas()
     return out;
 }
 
-/** What the plain raster scan reports, including its branch record. */
-struct RasterOutcome {
+/** A search's outcome as its result and probe records show it. */
+struct SearchOutcome {
     MeResult result;
     uint64_t decisions = 0;
     int n_decisions = 0;
+    uint64_t subpel_units = 0;  ///< the SubpelInterp record's work units
 };
 
 /**
- * The exhaustive search as a plain raster loop that computes every
- * visited position's SAD: the seeds, then the (2 range + 1)^2 window
- * around the clamped predictor, each position clamped into the MV
- * bounds, the current best skipped. No sub-pel refinement.
+ * The search as it ran one candidate at a time, before each step's
+ * candidates were scored in one batch and before the half-pel planes.
+ * The seeds, the diamond or hexagon descent, the square refinement and
+ * the half-pel ring try their candidates in order: each is clamped into
+ * the MV bounds, skipped when it equals the best (a full-pel one only
+ * once a candidate has been counted), else motion-compensated into a
+ * temp block, scored and counted on its own. The exhaustive search
+ * visits its raster window around the clamped predictor the same way,
+ * computing every SAD.
  */
-RasterOutcome
-rasterFullSearch(const MeContext &ctx)
+SearchOutcome
+oneAtATimeSearch(const MeContext &ctx)
 {
     const int margin = kRefPad - 2;
     const int min_mx = -(ctx.block_x + margin);
@@ -335,24 +343,27 @@ rasterFullSearch(const MeContext &ctx)
     const int max_my =
         ctx.ref->height() + margin - ctx.block_h - ctx.block_y;
     const uint8_t *src = ctx.src->row(ctx.block_y) + ctx.block_x;
+    const int src_stride = ctx.src->width();
 
-    RasterOutcome out;
+    SearchOutcome out;
     MeResult &best = out.result;
     best.cost = UINT32_MAX;
-    auto try_pel = [&](int mx, int my) {
-        mx = clampInt(mx, min_mx, max_mx);
-        my = clampInt(my, min_my, max_my);
-        const MotionVector mv{static_cast<int16_t>(mx * 2),
-                              static_cast<int16_t>(my * 2)};
-        if (best.candidates > 0 && mv == best.mv)
-            return;
-        const uint32_t sad = sadBlock(
-            src, ctx.src->width(),
-            ctx.ref->ptr(ctx.block_x + mx, ctx.block_y + my),
-            ctx.ref->stride(), ctx.block_w, ctx.block_h);
+    const auto score = [&](MotionVector mv, bool satd) {
+        uint8_t temp[32 * 32];
+        motionCompensate(*ctx.ref, ctx.block_x, ctx.block_y, mv,
+                         ctx.block_w, ctx.block_h, temp);
+        return satd ? satdBlock(src, src_stride, temp, ctx.block_w,
+                                ctx.block_w, ctx.block_h)
+                    : sadBlock(src, src_stride, temp, ctx.block_w,
+                               ctx.block_w, ctx.block_h);
+    };
+    const auto rate = [&](MotionVector mv) {
+        return static_cast<uint32_t>(ctx.lambda * mvBits(mv, ctx.pred) +
+                                     0.5);
+    };
+    const auto count = [&](MotionVector mv, uint32_t sad) {
+        const uint32_t cost = sad + rate(mv);
         ++best.candidates;
-        const uint32_t cost = sad +
-            static_cast<uint32_t>(ctx.lambda * mvBits(mv, ctx.pred) + 0.5);
         const bool improved = cost < best.cost;
         if (out.n_decisions < 64) {
             out.decisions |= static_cast<uint64_t>(improved)
@@ -365,15 +376,96 @@ rasterFullSearch(const MeContext &ctx)
             best.mv = mv;
         }
     };
-    try_pel(0, 0);
-    try_pel((ctx.pred.x + 1) / 2, (ctx.pred.y + 1) / 2);
+    const auto try_full_pel = [&](int mx, int my) {
+        mx = clampInt(mx, min_mx, max_mx);
+        my = clampInt(my, min_my, max_my);
+        const MotionVector mv{static_cast<int16_t>(mx * 2),
+                              static_cast<int16_t>(my * 2)};
+        if (best.candidates > 0 && mv == best.mv)
+            return;
+        count(mv, score(mv, false));
+    };
+    const auto try_half_pel = [&](MotionVector mv) {
+        mv.x = static_cast<int16_t>(clampInt(mv.x, min_mx * 2, max_mx * 2));
+        mv.y = static_cast<int16_t>(clampInt(mv.y, min_my * 2, max_my * 2));
+        if (mv == best.mv)
+            return;
+        count(mv, score(mv, ctx.satd_subpel));
+    };
+    const auto descend = [&](std::initializer_list<std::pair<int, int>>
+                                 pattern) {
+        for (int iter = 0; iter < ctx.range; ++iter) {
+            const MotionVector center = best.mv;
+            for (const auto &[dx, dy] : pattern)
+                try_full_pel(center.x / 2 + dx, center.y / 2 + dy);
+            if (best.mv == center)
+                break;
+        }
+    };
+    const auto square_refine = [&] {
+        for (int iter = 0; iter < 2; ++iter) {
+            const MotionVector center = best.mv;
+            for (int dy = -1; dy <= 1; ++dy) {
+                for (int dx = -1; dx <= 1; ++dx) {
+                    if (dx == 0 && dy == 0)
+                        continue;
+                    try_full_pel(center.x / 2 + dx, center.y / 2 + dy);
+                }
+            }
+            if (best.mv == center)
+                break;
+        }
+    };
+
+    try_full_pel(0, 0);
+    try_full_pel((ctx.pred.x + 1) / 2, (ctx.pred.y + 1) / 2);
     if (ctx.has_seed)
-        try_pel((ctx.seed.x + 1) / 2, (ctx.seed.y + 1) / 2);
-    const int cx = clampInt((ctx.pred.x + 1) / 2, min_mx, max_mx);
-    const int cy = clampInt((ctx.pred.y + 1) / 2, min_my, max_my);
-    for (int my = -ctx.range; my <= ctx.range; ++my)
-        for (int mx = -ctx.range; mx <= ctx.range; ++mx)
-            try_pel(cx + mx, cy + my);
+        try_full_pel((ctx.seed.x + 1) / 2, (ctx.seed.y + 1) / 2);
+    switch (ctx.kind) {
+      case SearchKind::Diamond:
+        descend({{0, -1}, {-1, 0}, {1, 0}, {0, 1}});
+        square_refine();
+        break;
+      case SearchKind::Hex:
+        descend({{-2, 0}, {-1, -2}, {1, -2}, {2, 0}, {1, 2}, {-1, 2}});
+        square_refine();
+        break;
+      case SearchKind::Full: {
+        const int cx = clampInt((ctx.pred.x + 1) / 2, min_mx, max_mx);
+        const int cy = clampInt((ctx.pred.y + 1) / 2, min_my, max_my);
+        for (int my = -ctx.range; my <= ctx.range; ++my)
+            for (int mx = -ctx.range; mx <= ctx.range; ++mx)
+                try_full_pel(cx + mx, cy + my);
+        break;
+      }
+    }
+
+    uint64_t evals = 0;
+    if (ctx.subpel) {
+        if (ctx.satd_subpel) {
+            best.sad = score(best.mv, true);
+            best.cost = best.sad + rate(best.mv);
+        }
+        for (int iter = 0; iter < ctx.subpel_iters; ++iter) {
+            const MotionVector center = best.mv;
+            for (int dy = -1; dy <= 1; ++dy) {
+                for (int dx = -1; dx <= 1; ++dx) {
+                    if (dx == 0 && dy == 0)
+                        continue;
+                    try_half_pel(
+                        MotionVector{static_cast<int16_t>(center.x + dx),
+                                     static_cast<int16_t>(center.y + dy)});
+                    ++evals;
+                }
+            }
+            if (best.mv == center)
+                break;
+        }
+    }
+    // The probe counts interpolated samples in 256-sample units.
+    const uint64_t area = static_cast<uint64_t>(ctx.block_w) * ctx.block_h;
+    out.subpel_units =
+        evals == 0 ? 0 : std::max<uint64_t>(1, evals * area / 256);
     return out;
 }
 
@@ -385,7 +477,7 @@ expectMatchesRasterScan(MeContext me)
     me.subpel = false;
     RecordingProbe probe;
     me.probe = &probe;
-    const RasterOutcome want = rasterFullSearch(me);
+    const SearchOutcome want = oneAtATimeSearch(me);
     const MeResult got = motionSearch(me);
     EXPECT_EQ(got.mv, want.result.mv);
     EXPECT_EQ(got.cost, want.result.cost);
@@ -529,102 +621,13 @@ TEST(MotionSearch, FullSearchCountsRowsHoldingTheBest)
     }
 }
 
-/** A search's outcome as its result and probe records show it. */
-struct SubpelOutcome {
-    MeResult result;
-    uint64_t decisions = 0;
-    int n_decisions = 0;
-    uint64_t subpel_units = 0;  ///< the SubpelInterp record's work units
-};
-
-/**
- * Sub-pel refinement as it ran before the half-pel planes: every
- * candidate motion-compensated into a temp block, then scored. It
- * continues from `start`, the outcome of the same search with sub-pel
- * refinement off.
- */
-SubpelOutcome
-interpolatingSubpel(const MeContext &ctx, SubpelOutcome start)
-{
-    const int margin = kRefPad - 2;
-    const int min_mx = -(ctx.block_x + margin);
-    const int max_mx =
-        ctx.ref->width() + margin - ctx.block_w - ctx.block_x;
-    const int min_my = -(ctx.block_y + margin);
-    const int max_my =
-        ctx.ref->height() + margin - ctx.block_h - ctx.block_y;
-    const uint8_t *src = ctx.src->row(ctx.block_y) + ctx.block_x;
-    const int src_stride = ctx.src->width();
-
-    SubpelOutcome out = start;
-    MeResult &best = out.result;
-    uint64_t evals = 0;
-    const auto score = [&](MotionVector mv, bool satd) {
-        uint8_t temp[32 * 32];
-        motionCompensate(*ctx.ref, ctx.block_x, ctx.block_y, mv,
-                         ctx.block_w, ctx.block_h, temp);
-        return satd ? satdBlock(src, src_stride, temp, ctx.block_w,
-                                ctx.block_w, ctx.block_h)
-                    : sadBlock(src, src_stride, temp, ctx.block_w,
-                               ctx.block_w, ctx.block_h);
-    };
-    const auto rate = [&](MotionVector mv) {
-        return static_cast<uint32_t>(ctx.lambda * mvBits(mv, ctx.pred) +
-                                     0.5);
-    };
-    const auto try_half_pel = [&](MotionVector mv) {
-        mv.x = static_cast<int16_t>(clampInt(mv.x, min_mx * 2, max_mx * 2));
-        mv.y = static_cast<int16_t>(clampInt(mv.y, min_my * 2, max_my * 2));
-        if (mv == best.mv)
-            return;
-        const uint32_t sad = score(mv, ctx.satd_subpel);
-        const uint32_t cost = sad + rate(mv);
-        ++best.candidates;
-        const bool improved = cost < best.cost;
-        if (out.n_decisions < 64) {
-            out.decisions |= static_cast<uint64_t>(improved)
-                << out.n_decisions;
-            ++out.n_decisions;
-        }
-        if (improved) {
-            best.cost = cost;
-            best.sad = sad;
-            best.mv = mv;
-        }
-    };
-    if (ctx.satd_subpel) {
-        best.sad = score(best.mv, true);
-        best.cost = best.sad + rate(best.mv);
-    }
-    for (int iter = 0; iter < ctx.subpel_iters; ++iter) {
-        const MotionVector center = best.mv;
-        for (int dy = -1; dy <= 1; ++dy) {
-            for (int dx = -1; dx <= 1; ++dx) {
-                if (dx == 0 && dy == 0)
-                    continue;
-                try_half_pel(
-                    MotionVector{static_cast<int16_t>(center.x + dx),
-                                 static_cast<int16_t>(center.y + dy)});
-                ++evals;
-            }
-        }
-        if (best.mv == center)
-            break;
-    }
-    // The probe counts interpolated samples in 256-sample units.
-    const uint64_t area = static_cast<uint64_t>(ctx.block_w) * ctx.block_h;
-    out.subpel_units =
-        evals == 0 ? 0 : std::max<uint64_t>(1, evals * area / 256);
-    return out;
-}
-
 /** Run a search and read its outcome back from its probe records. */
-SubpelOutcome
+SearchOutcome
 searchWithProbe(MeContext me)
 {
     RecordingProbe probe;
     me.probe = &probe;
-    SubpelOutcome out;
+    SearchOutcome out;
     out.result = motionSearch(me);
     for (const RecordingProbe::Record &r : probe.records) {
         if (r.id == uarch::KernelId::MotionSearchCtl) {
@@ -639,7 +642,7 @@ searchWithProbe(MeContext me)
 }
 
 void
-expectSameOutcome(const SubpelOutcome &got, const SubpelOutcome &want)
+expectSameOutcome(const SearchOutcome &got, const SearchOutcome &want)
 {
     EXPECT_EQ(got.result.mv, want.result.mv);
     EXPECT_EQ(got.result.cost, want.result.cost);
@@ -650,15 +653,39 @@ expectSameOutcome(const SubpelOutcome &got, const SubpelOutcome &want)
     EXPECT_EQ(got.subpel_units, want.subpel_units);
 }
 
+/**
+ * Search `me` on a reference without and with half-pel planes, with
+ * sub-pel refinement off and at 0-3 rounds, and compare both with the
+ * one-candidate-at-a-time search.
+ */
+void
+expectMatchesOneAtATime(MeContext me, const RefPlane &plain,
+                        const RefPlane &planes)
+{
+    for (int iters = -1; iters <= 3; ++iters) {
+        me.subpel = iters >= 0;
+        me.subpel_iters = std::max(iters, 0);
+        SCOPED_TRACE(::testing::Message() << "subpel iters=" << iters);
+        me.ref = &plain;
+        const SearchOutcome want = oneAtATimeSearch(me);
+        expectSameOutcome(searchWithProbe(me), want);
+        me.ref = &planes;
+        expectSameOutcome(searchWithProbe(me), want);
+    }
+}
+
 TEST(MotionSearch, HalfPelPlanesMatchInterpolatingEveryCandidate)
 {
-    // Sub-pel candidates are read from the reference's half-pel planes
-    // when it has them and interpolated one by one when it does not.
-    // Both must report what the per-candidate interpolation reported:
-    // MV, cost, SAD, candidate count and decision bits, at every ISA,
-    // for every strategy, round count and metric, with predictors
-    // pulling the search against every frame edge, where the clamp
-    // holds candidates at the extremes of the planes.
+    // Each search step scores its candidates as one batch, and sub-pel
+    // candidates are read from the reference's half-pel planes when it
+    // has them and interpolated into scratch when it does not. Both
+    // must report what the search that interpolated and scored every
+    // candidate on its own reported: MV, cost, SAD, candidate count,
+    // decision bits and sub-pel work, at every ISA, for every strategy,
+    // block size, round count and metric, with and without a seed. The
+    // predictors pull the search against every frame edge, where the
+    // clamp folds candidates of one step onto each other and onto the
+    // best.
     constexpr int kW = 96;
     constexpr int kH = 80;
     video::Rng rng(29);
@@ -714,6 +741,12 @@ TEST(MotionSearch, HalfPelPlanesMatchInterpolatingEveryCandidate)
                                     me.block_w = bs;
                                     me.block_h = bs;
                                     me.pred = pull;
+                                    me.has_seed = rng.below(2) == 0;
+                                    me.seed = MotionVector{
+                                        static_cast<int16_t>(
+                                            rng.range(-40, 40)),
+                                        static_cast<int16_t>(
+                                            rng.range(-40, 40))};
                                     me.lambda = static_cast<double>(
                                                     rng.below(2000)) /
                                         100;
@@ -721,34 +754,16 @@ TEST(MotionSearch, HalfPelPlanesMatchInterpolatingEveryCandidate)
                                     me.range =
                                         kind == SearchKind::Full ? 6 : 16;
                                     me.satd_subpel = satd;
-                                    me.ref = pair.plain;
-                                    me.subpel = false;
-                                    const SubpelOutcome integer =
-                                        searchWithProbe(me);
-                                    me.subpel = true;
-                                    for (int iters = 0; iters <= 3;
-                                         ++iters) {
-                                        me.subpel_iters = iters;
-                                        SCOPED_TRACE(
-                                            ::testing::Message()
-                                            << kernels::isaName(isa)
-                                            << " bs=" << bs << " block=("
-                                            << bx << "," << by
-                                            << ") pred=(" << pull.x << ","
-                                            << pull.y << ") kind="
-                                            << static_cast<int>(kind)
-                                            << " satd=" << satd
-                                            << " iters=" << iters);
-                                        const SubpelOutcome want =
-                                            interpolatingSubpel(me,
-                                                                integer);
-                                        me.ref = pair.planes;
-                                        expectSameOutcome(
-                                            searchWithProbe(me), want);
-                                        me.ref = pair.plain;
-                                        expectSameOutcome(
-                                            searchWithProbe(me), want);
-                                    }
+                                    SCOPED_TRACE(
+                                        ::testing::Message()
+                                        << kernels::isaName(isa)
+                                        << " bs=" << bs << " block=(" << bx
+                                        << "," << by << ") pred=(" << pull.x
+                                        << "," << pull.y << ") kind="
+                                        << static_cast<int>(kind)
+                                        << " satd=" << satd);
+                                    expectMatchesOneAtATime(me, *pair.plain,
+                                                            *pair.planes);
                                 }
                             }
                         }

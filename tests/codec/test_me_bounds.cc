@@ -31,6 +31,44 @@ randomPlane(int w, int h, uint64_t seed)
     return p;
 }
 
+/**
+ * Search `ctx` on a reference with half-pel planes and on the same
+ * reference without them: the winning MV must lie inside the search
+ * clamp, both must agree, and compensating at the winner must read
+ * inside the pad (ASan-checked in the sanitize build).
+ */
+void
+expectSearchStaysInside(MeContext ctx, const RefPlane &ref,
+                        const RefPlane &plain)
+{
+    // The search clamp keeps full-pel candidates within kRefPad - 2 of
+    // the frame, so half-pel refinement (+1 sample) stays in the pad.
+    const int margin = kRefPad - 2;
+    const int bx = ctx.block_x;
+    const int by = ctx.block_y;
+    const int bs = ctx.block_w;
+    ctx.ref = &ref;
+    const MeResult r = motionSearch(ctx);
+    EXPECT_GE(r.mv.x, 2 * (-(bx + margin)));
+    EXPECT_LE(r.mv.x, 2 * (ref.width() + margin - bs - bx));
+    EXPECT_GE(r.mv.y, 2 * (-(by + margin)));
+    EXPECT_LE(r.mv.y, 2 * (ref.height() + margin - bs - by));
+    EXPECT_GT(r.candidates, 0u);
+
+    ctx.ref = &plain;
+    const MeResult interpolated = motionSearch(ctx);
+    EXPECT_EQ(r.mv, interpolated.mv);
+    EXPECT_EQ(r.cost, interpolated.cost);
+    EXPECT_EQ(r.candidates, interpolated.candidates);
+
+    uint8_t out[32 * 32];
+    motionCompensate(ref, bx, by, r.mv, bs, bs, out);
+    uint8_t scratch[32 * 32];
+    const BlockRef block = compensatedBlock(ref, bx, by, r.mv, bs, bs,
+                                            scratch);
+    EXPECT_EQ(sadBlock(block.data, block.stride, out, bs, bs, bs), 0u);
+}
+
 TEST(MeBounds, BlocksFlushAgainstEveryFrameEdge)
 {
     constexpr int kW = 64;
@@ -43,14 +81,12 @@ TEST(MeBounds, BlocksFlushAgainstEveryFrameEdge)
     RefPlane ref(prev);
     ref.buildHalfPel();
 
-    // The search clamp keeps full-pel candidates within kRefPad - 2 of
-    // the frame, so half-pel refinement (+1 sample) stays in the pad.
-    const int margin = kRefPad - 2;
-
     const MotionVector pulls[] = {
         {-512, -512}, {512, -512}, {-512, 512}, {512, 512}, {0, 0}};
 
-    for (const int bs : {16, 8}) {
+    // Every block size the codecs search, each scored four candidates
+    // at a time in both sub-pel metrics.
+    for (const int bs : {32, 16, 8}) {
         // Corners, mid-edges, and center: every way a block can touch
         // the frame boundary.
         const int xs[] = {0, (kW - bs) / 2, kW - bs};
@@ -61,50 +97,24 @@ TEST(MeBounds, BlocksFlushAgainstEveryFrameEdge)
                                         SearchKind::Hex,
                                         SearchKind::Full}) {
                     for (const MotionVector pull : pulls) {
-                        MeContext ctx;
-                        ctx.src = &cur;
-                        ctx.ref = &ref;
-                        ctx.block_x = bx;
-                        ctx.block_y = by;
-                        ctx.block_w = bs;
-                        ctx.block_h = bs;
-                        ctx.pred = pull;
-                        ctx.lambda = 2.0;
-                        ctx.kind = kind;
-                        // Larger than kRefPad: unclamped candidates
-                        // would walk off the padded buffer.
-                        ctx.range = kRefPad + 16;
-                        ctx.subpel = true;
-                        ctx.subpel_iters = 2;
-                        ctx.satd_subpel = true;
-
-                        const MeResult r = motionSearch(ctx);
-                        EXPECT_GE(r.mv.x, 2 * (-(bx + margin)));
-                        EXPECT_LE(r.mv.x,
-                                  2 * (kW + margin - bs - bx));
-                        EXPECT_GE(r.mv.y, 2 * (-(by + margin)));
-                        EXPECT_LE(r.mv.y,
-                                  2 * (kH + margin - bs - by));
-                        EXPECT_GT(r.candidates, 0u);
-
-                        ctx.ref = &plain;
-                        const MeResult interpolated = motionSearch(ctx);
-                        EXPECT_EQ(r.mv, interpolated.mv);
-                        EXPECT_EQ(r.cost, interpolated.cost);
-                        EXPECT_EQ(r.candidates, interpolated.candidates);
-
-                        // Compensating at the winning MV must stay in
-                        // bounds too (ASan-checked in the sanitize
-                        // build).
-                        uint8_t out[16 * 16];
-                        motionCompensate(ref, bx, by, r.mv, bs, bs,
-                                         out);
-                        uint8_t scratch[16 * 16];
-                        const BlockRef block = compensatedBlock(
-                            ref, bx, by, r.mv, bs, bs, scratch);
-                        EXPECT_EQ(sadBlock(block.data, block.stride, out,
-                                           bs, bs, bs),
-                                  0u);
+                        for (const bool satd : {false, true}) {
+                            MeContext ctx;
+                            ctx.src = &cur;
+                            ctx.block_x = bx;
+                            ctx.block_y = by;
+                            ctx.block_w = bs;
+                            ctx.block_h = bs;
+                            ctx.pred = pull;
+                            ctx.lambda = 2.0;
+                            ctx.kind = kind;
+                            // Larger than kRefPad: unclamped candidates
+                            // would walk off the padded buffer.
+                            ctx.range = kRefPad + 16;
+                            ctx.subpel = true;
+                            ctx.subpel_iters = 2;
+                            ctx.satd_subpel = satd;
+                            expectSearchStaysInside(ctx, ref, plain);
+                        }
                     }
                 }
             }

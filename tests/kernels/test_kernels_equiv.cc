@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -70,6 +71,117 @@ TEST(KernelsEquiv, Sad)
                     vec->sad(a.data(), a_stride, b.data(), b_stride, w,
                              h))
                     << vec->name << " w=" << w << " h=" << h;
+            }
+        }
+    }
+}
+
+TEST(KernelsEquiv, SadEightWideRows)
+{
+    // An 8-wide SAD packs two rows per vector at sse2 and four at avx2
+    // when the height allows it; other heights take the per-row path.
+    // Each buffer ends exactly at the block's last sample, and all-0
+    // against all-255 blocks give the largest sums.
+    Rng rng(21);
+    const KernelOps &ref = *scalarOps();
+    for (const KernelOps *vec : vectorBackends()) {
+        for (const int h : {1, 2, 3, 4, 6, 8, 12, 16, 32}) {
+            for (int trial = 0; trial < 6; ++trial) {
+                const int a_stride = 8 + static_cast<int>(rng.below(9));
+                const int b_stride = 8 + static_cast<int>(rng.below(9));
+                auto a = randomBytes(
+                    rng, static_cast<size_t>(a_stride) * (h - 1) + 8);
+                auto b = randomBytes(
+                    rng, static_cast<size_t>(b_stride) * (h - 1) + 8);
+                if (trial < 2) {
+                    std::fill(a.begin(), a.end(), trial == 0 ? 0 : 255);
+                    std::fill(b.begin(), b.end(), trial == 0 ? 255 : 0);
+                }
+                EXPECT_EQ(
+                    ref.sad(a.data(), a_stride, b.data(), b_stride, 8, h),
+                    vec->sad(a.data(), a_stride, b.data(), b_stride, 8, h))
+                    << vec->name << " h=" << h << " trial=" << trial;
+            }
+        }
+    }
+}
+
+TEST(KernelsEquiv, SadX4AndSatdX4)
+{
+    // Both four-reference kernels must give exactly four scalar single
+    // calls at every ISA, scalar included: on the shapes the vector
+    // versions specialise (8, 16 and 32 squares), on 4x4, and on 8x16
+    // and 16x8, which they leave to single calls. The four references
+    // lie at different offsets of one plane: its four corners, one
+    // block repeated (as a search pads its last group), and random
+    // places. The plane's buffer ends at its last sample and the
+    // source's at the block's last sample, so an ASan build reports any
+    // read past the w x h blocks the kernels may read. Content is
+    // random, or all-0 against all-255 either way round.
+    constexpr int kShapes[][2] = {{4, 4},   {8, 8},  {16, 16},
+                                  {32, 32}, {8, 16}, {16, 8}};
+    constexpr int kPlaneW = 48;
+    constexpr int kPlaneH = 40;
+    Rng rng(22);
+    const KernelOps &ref = *scalarOps();
+    std::vector<const KernelOps *> tables = vectorBackends();
+    tables.insert(tables.begin(), &ref);
+    for (const auto &[w, h] : kShapes) {
+        for (int content = 0; content < 3; ++content) {
+            const int src_stride = w + static_cast<int>(rng.below(9));
+            const int stride = kPlaneW + static_cast<int>(rng.below(9));
+            auto src = randomBytes(
+                rng, static_cast<size_t>(src_stride) * (h - 1) + w);
+            auto plane = randomBytes(
+                rng, static_cast<size_t>(stride) * (kPlaneH - 1) + kPlaneW);
+            if (content > 0) {
+                std::fill(src.begin(), src.end(), content == 1 ? 0 : 255);
+                std::fill(plane.begin(), plane.end(),
+                          content == 1 ? 255 : 0);
+            }
+            const auto at = [&](int x, int y) {
+                return plane.data() + static_cast<size_t>(y) * stride + x;
+            };
+            for (int trial = 0; trial < 12; ++trial) {
+                const uint8_t *refs[4];
+                for (int k = 0; k < 4; ++k) {
+                    if (trial == 0) {
+                        refs[k] = at(k & 1 ? kPlaneW - w : 0,
+                                     k & 2 ? kPlaneH - h : 0);
+                    } else if (trial == 1) {
+                        refs[k] = at(kPlaneW - w, kPlaneH - h);
+                    } else {
+                        refs[k] = at(
+                            static_cast<int>(rng.below(kPlaneW - w + 1)),
+                            static_cast<int>(rng.below(kPlaneH - h + 1)));
+                    }
+                }
+                uint32_t want_sad[4];
+                uint32_t want_satd[4];
+                for (int k = 0; k < 4; ++k) {
+                    want_sad[k] = ref.sad(src.data(), src_stride, refs[k],
+                                          stride, w, h);
+                    want_satd[k] = ref.satd(src.data(), src_stride, refs[k],
+                                            stride, w, h);
+                }
+                for (const KernelOps *k : tables) {
+                    uint32_t got_sad[4] = {};
+                    uint32_t got_satd[4] = {};
+                    k->sadX4(src.data(), src_stride, refs, stride, w, h,
+                             got_sad);
+                    k->satdX4(src.data(), src_stride, refs, stride, w, h,
+                              got_satd);
+                    for (int i = 0; i < 4; ++i) {
+                        EXPECT_EQ(want_sad[i], got_sad[i])
+                            << k->name << " sadX4 " << w << "x" << h
+                            << " content=" << content << " trial=" << trial
+                            << " ref " << i;
+                        EXPECT_EQ(want_satd[i], got_satd[i])
+                            << k->name << " satdX4 " << w << "x" << h
+                            << " content=" << content << " trial=" << trial
+                            << " ref " << i;
+                    }
+                }
             }
         }
     }
@@ -228,6 +340,35 @@ TEST(KernelsEquiv, CopyAndInterp)
                     EXPECT_EQ(want, got) << vec->name << " kernel " << k
                                          << " w=" << w << " h=" << h;
                 }
+            }
+        }
+    }
+}
+
+TEST(KernelsEquiv, Copy2dEveryWidth)
+{
+    // copy2d copies rows of width 8, 16 and 32 with vector loads and
+    // stores and calls memcpy for every other width: all widths 1-40
+    // against scalar, with both strides wider than the block. The
+    // source buffer ends at the block's last sample; the destination's
+    // gaps between rows must keep their fill.
+    Rng rng(24);
+    const KernelOps &ref = *scalarOps();
+    for (const KernelOps *vec : vectorBackends()) {
+        for (int w = 1; w <= 40; ++w) {
+            for (const int h : {1, 2, 5, 8, 16, 32}) {
+                const int src_stride = w + 1 + static_cast<int>(rng.below(8));
+                const int dst_stride = w + 1 + static_cast<int>(rng.below(8));
+                const auto src = randomBytes(
+                    rng, static_cast<size_t>(src_stride) * (h - 1) + w);
+                std::vector<uint8_t> want(
+                    static_cast<size_t>(dst_stride) * (h - 1) + w, 0xAA);
+                std::vector<uint8_t> got = want;
+                ref.copy2d(src.data(), src_stride, want.data(), dst_stride,
+                           w, h);
+                vec->copy2d(src.data(), src_stride, got.data(), dst_stride,
+                            w, h);
+                EXPECT_EQ(want, got) << vec->name << " w=" << w << " h=" << h;
             }
         }
     }
